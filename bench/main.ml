@@ -95,10 +95,10 @@ let parse_args () =
       go rest
     | "--jobs" :: v :: rest ->
       jobs :=
-        (if v = "auto" then Pdf_eval.Parallel.default_jobs ()
+        (if v = "auto" then Domain.recommended_domain_count ()
          else int_arg "jobs" v);
       if !jobs < 0 then die "jobs must be non-negative, got %d" !jobs;
-      if !jobs = 0 then jobs := Pdf_eval.Parallel.default_jobs ();
+      if !jobs = 0 then jobs := Domain.recommended_domain_count ();
       go rest
     | "--out" :: v :: rest ->
       out := Some v;
@@ -1258,7 +1258,7 @@ let dist_bench options =
       worker_counts
   in
   let t1 = match measured with (_, t) :: _ -> t | [] -> nan in
-  let cores = Pdf_eval.Parallel.default_jobs () in
+  let cores = Domain.recommended_domain_count () in
   Render.table ppf
     ~title:
       (Printf.sprintf
@@ -1297,8 +1297,6 @@ let () =
   let options = parse_args () in
   if options.minor_heap > 0 then
     Gc.set { (Gc.get ()) with Gc.minor_heap_size = options.minor_heap };
-  (* dist forks worker processes; OCaml 5 forbids fork once any domain
-     has been spawned, so it must precede the evaluation-grid sections. *)
   if wants options "dist" then dist_bench options;
   if wants options "table-1" then table_1 ();
   if wants options "table-2" then table_tokens "json" "table-2";

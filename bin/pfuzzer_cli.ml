@@ -469,9 +469,8 @@ let campaign_cmd =
            config subject
        with
        | exception Failure msg ->
-         (* Replay rounds exhausted, or fork unavailable (a domain was
-            spawned earlier in this process). Same distinctive status as
-            an unusable checkpoint: not a CLI error, not a crash. *)
+         (* Replay rounds exhausted. Same distinctive status as an
+            unusable checkpoint: not a CLI error, not a crash. *)
          Option.iter (fun s -> try Pdf_obs.Trace.close s with _ -> ()) sink;
          Option.iter Pdf_util.Atomic_file.abort staged;
          Printf.eprintf "pfuzzer: campaign failed: %s\n%!" msg;
@@ -600,8 +599,8 @@ let campaign_cmd =
       & info [ "shards" ] ~docv:"S"
           ~doc:
             "Shards in the campaign plan: independent fuzzing runs with \
-             derived seeds and budget slices, dealt round-robin to the \
-             workers. Changing S changes the campaign; changing --workers \
+             derived seeds and budget slices, each dealt to the next free \
+             worker. Changing S changes the campaign; changing --workers \
              does not.")
   in
   let frame_every =
@@ -721,7 +720,7 @@ let run_cmd =
 let evaluate_cmd =
   let run budget seeds jobs retries trace =
     let seeds = if seeds = [] then [ 1 ] else seeds in
-    let jobs = if jobs = 0 then Pdf_eval.Parallel.default_jobs () else jobs in
+    let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
     let config = { Pdf_eval.Experiment.budget_units = budget; seeds; verbose = true } in
     let run_grid trace_oc =
       Pdf_eval.Experiment.run ~jobs ~retries ?trace:trace_oc config
@@ -760,9 +759,9 @@ let evaluate_cmd =
       & opt (nonneg_int "jobs") 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Evaluation-grid cells to run concurrently (OCaml domains). 1 is \
-             strictly sequential; 0 means one worker per recommended domain. \
-             Results are identical for every N.")
+            "Evaluation-grid cells to run concurrently in forked worker \
+             processes. 1 is strictly sequential and forks nothing; 0 means \
+             one worker per core. Results are identical for every N.")
   in
   let retries =
     Arg.(
@@ -770,9 +769,10 @@ let evaluate_cmd =
       & opt (nonneg_int "retries") 2
       & info [ "retries" ] ~docv:"N"
           ~doc:
-            "Times to re-run a grid cell whose execution raised before \
-             marking it failed. A cell that exhausts its retries is reported \
-             as all-zero and the command exits non-zero.")
+            "Times to re-run a grid cell whose execution raised, or whose \
+             worker process died, before marking it failed. A cell that \
+             exhausts its retries is reported as all-zero and the command \
+             exits non-zero.")
   in
   let trace =
     Arg.(

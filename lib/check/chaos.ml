@@ -3,7 +3,7 @@ module Pfuzzer = Pdf_core.Pfuzzer
 module Subject = Pdf_subjects.Subject
 module Coverage = Pdf_instr.Coverage
 module Runner = Pdf_instr.Runner
-module Parallel = Pdf_eval.Parallel
+module Workers = Pdf_eval.Workers
 
 (* Distinct execution indices spread across the budget, away from both
    ends so every fault fires before the budget runs out. *)
@@ -132,37 +132,41 @@ let run ?(execs = 400) ?(seed = 1) (subject : Subject.t) =
          (count_kind Fault.Corrupt_cache corrupt_plan)
          r_corrupt.cache.rescues
      else "cache corruption leaked into the campaign results");
-  (* Worker-domain death in the parallel grid: a task that dies on its
-     first attempts is retried to success; one that always dies is
-     marked failed without sinking its neighbours. *)
-  let attempts = Array.init 8 (fun _ -> Atomic.make 0) in
+  (* Worker-process death in the grid's worker layer: a task that
+     SIGKILLs its own worker on its first attempt (a marker file, which
+     outlives the process, records the attempt) is replayed to success;
+     one that kills every worker it runs in is marked failed without
+     sinking its neighbours. *)
+  let dir = Filename.temp_dir "pfchaos" "" in
+  let marker = Filename.concat dir "attempted" in
+  let die () = Unix.kill (Unix.getpid ()) Sys.sigkill in
   let flaky i =
-    let a = Atomic.fetch_and_add attempts.(i) 1 in
-    if i = 3 && a < 2 then raise (Fault.Injected "worker death");
+    if i = 3 && not (Sys.file_exists marker) then begin
+      close_out (open_out marker);
+      die ()
+    end;
     i * i
   in
-  let recovered =
-    Parallel.map_retry ~jobs:3 ~retries:2 flaky (List.init 8 Fun.id)
-  in
+  let recovered = Workers.map ~workers:3 ~retries:2 flaky (List.init 8 Fun.id) in
   let all_ok =
-    List.for_all2
-      (fun i r -> r = Ok (i * i))
-      (List.init 8 Fun.id) recovered
+    List.for_all2 (fun i r -> r = Ok (i * i)) (List.init 8 Fun.id) recovered
   in
   let abandoned =
-    Parallel.map_retry ~jobs:2 ~retries:1
-      (fun i -> if i = 1 then raise (Fault.Injected "always dead") else i)
+    Workers.map ~workers:2 ~retries:1
+      (fun i ->
+        if i = 1 then die ();
+        i)
       [ 0; 1; 2 ]
   in
+  (try Sys.remove marker with Sys_error _ -> ());
+  (try Sys.rmdir dir with Sys_error _ -> ());
   let marked =
-    match abandoned with
-    | [ Ok 0; Error (Fault.Injected _); Ok 2 ] -> true
-    | _ -> false
+    match abandoned with [ Ok 0; Error _; Ok 2 ] -> true | _ -> false
   in
   add "worker-death-retry" (all_ok && marked)
     (if all_ok && marked then
-       "flaky task recovered by retry; permanently dead task marked failed \
-        without sinking the grid"
+       "SIGKILLed worker's task recovered by replay; a task that always \
+        kills its worker marked failed without sinking the grid"
      else if not all_ok then "a flaky task was not recovered by retries"
      else "a permanently failing task was not isolated correctly");
   { Invariants.subject = subject.Subject.name; checks = List.rev !checks }

@@ -15,10 +15,11 @@
     - {b snapshot-corruption neutrality}: poisoning every cached parse
       snapshot is invisible — crashed resumes are rescued by cold
       re-execution;
-    - {b worker-death retry}: in {!Pdf_eval.Parallel.map_retry}, a task
-      whose domain dies transiently is retried to success and a
-      permanently dying task is isolated as [Error] without sinking the
-      rest of the grid. *)
+    - {b worker-death retry}: in {!Pdf_eval.Workers.map}, a task that
+      SIGKILLs its worker process on its first attempt is replayed to
+      success in a fresh worker, and a task that kills every worker it
+      runs in is isolated as [Error] without sinking the rest of the
+      grid. *)
 
 val run : ?execs:int -> ?seed:int -> Pdf_subjects.Subject.t -> Invariants.report
 (** [run subject] drives the chaos drills with [execs] (default 400)

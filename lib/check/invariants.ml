@@ -343,22 +343,18 @@ let run ?(execs = 400) ?(seed = 1) subject =
     (if Experiment.equal sequential parallel then "jobs:1 = jobs:3 on the full tool grid"
      else "jobs:1 and jobs:3 grids differ");
   (* Distributed equivalence: the same campaign through the in-process
-     sequential reference and through fleets of 1, 2 and 4 workers must
-     merge to one bit-identical result — the shard plan, not the
-     process topology, defines the campaign. Grid determinism above has
-     already spawned domains, and OCaml 5 forbids [Unix.fork] for the
-     rest of the process's life after that, so the fleets here go
-     through [Dist.simulate_campaign] — same plan, assignment, wire
-     encode/decode and merge, minus the fork (forked campaigns are
-     exercised by [test_dist] and the CLI, which fork first). *)
+     sequential reference and through forked fleets of 1, 2 and 4
+     workers must merge to one bit-identical result — the shard plan,
+     not the process topology, defines the campaign. *)
   let dist_shards = 4 in
   let dist_ref = Dist.reference ~shards:dist_shards config subject in
   let frame_every = max 1 (execs / (2 * dist_shards)) in
   let dist_results =
     List.map
       (fun workers ->
-        Dist.simulate_campaign ~workers ~shards:dist_shards ~frame_every
-          config subject)
+        (Dist.run_campaign ~workers ~shards:dist_shards ~frame_every config
+           subject)
+          .result)
       [ 1; 2; 4 ]
   in
   let dist_vs_ref = List.for_all (results_equal dist_ref) dist_results in
@@ -372,10 +368,10 @@ let run ?(execs = 400) ?(seed = 1) subject =
     (dist_vs_ref && dist_bitwise)
     (if dist_vs_ref && dist_bitwise then
        Printf.sprintf
-         "reference = workers:1 = workers:2 = workers:4 (%d shards, in-process protocol)"
+         "reference = workers:1 = workers:2 = workers:4 (%d shards, forked fleets)"
          dist_shards
      else if not dist_vs_ref then
-       "a simulated campaign diverged from the sequential reference"
+       "a forked campaign diverged from the sequential reference"
      else "merged results differ bitwise across worker counts");
   (* Trace/coverage agreement over a mixed sample: the fuzzer's valid
      inputs plus random strings. *)

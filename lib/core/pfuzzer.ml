@@ -663,10 +663,6 @@ let faulted_run st kind input =
      | Some cache -> Runner.Cache.corrupt_all cache
      | None -> ());
     None
-  | Fault.Kill_worker ->
-    (* Worker death is a grid-level fault; inside the single-domain
-       fuzzer loop it degrades to a no-op. *)
-    None
 
 (* One execution of the subject. [prefix_len] is the caller's hint that
    the first [prefix_len] characters of [input] were inherited verbatim

@@ -59,131 +59,19 @@ module Frame = struct
     final : bool;
     result : Pfuzzer.result;
     (* Per-shard metrics snapshot riding the existing sync frame — the
-       fleet telemetry channel. [None] from pre-metrics senders (the
-       in-process simulation, tests); the coordinator folds whatever
-       arrives. *)
+       fleet telemetry channel. [None] from senders without a registry
+       (tests); the coordinator folds whatever arrives. *)
     metrics : Metrics.snapshot option;
   }
-
-  let magic = "pfsync"
 
   (* v2: frames carry an optional metrics snapshot. Frames only ever
      cross a pipe between a coordinator and the workers it forked — both
      ends are the same binary — so the bump is pure hygiene against a
      stale reader. *)
-  let version = 2
-
-  (* Frames cross a pipe, not a filesystem: anything claiming to be
-     larger than this is a corrupted length prefix, not a real frame. *)
-  let max_body = 1 lsl 28
-
-  let encode_body t =
-    let payload = Marshal.to_string t [] in
-    let b = Buffer.create (String.length payload + 32) in
-    Buffer.add_string b magic;
-    Buffer.add_char b (Char.chr version);
-    Buffer.add_string b (Digest.string payload);
-    Buffer.add_string b payload;
-    Buffer.contents b
-
-  let encode t =
-    let body = encode_body t in
-    let n = String.length body in
-    let b = Bytes.create (4 + n) in
-    Bytes.set_int32_be b 0 (Int32.of_int n);
-    Bytes.blit_string body 0 b 4 n;
-    Bytes.unsafe_to_string b
-
-  (* Same precedence contract as [Pfuzzer.Checkpoint.decode]: length,
-     magic, digest, version, unmarshal — digest before version, so
-     corruption is never misreported as version skew. *)
-  let decode_body s =
-    let mlen = String.length magic in
-    let hlen = mlen + 1 + 16 in
-    if String.length s < hlen then Error "sync frame too short to be valid"
-    else if String.sub s 0 mlen <> magic then
-      Error "not a pfuzzer sync frame (bad magic)"
-    else
-      let digest = String.sub s (mlen + 1) 16 in
-      let payload = String.sub s hlen (String.length s - hlen) in
-      if not (String.equal (Digest.string payload) digest) then
-        Error "sync frame corrupted (payload digest mismatch)"
-      else
-        let v = Char.code s.[mlen] in
-        if v <> version then
-          Error
-            (Printf.sprintf
-               "sync frame version mismatch (frame has v%d, this build reads v%d)"
-               v version)
-        else
-          match (Marshal.from_string payload 0 : t) with
-          | f -> Ok f
-          | exception _ ->
-            Error "sync frame payload unreadable (truncated or incompatible)"
-
-  module Decoder = struct
-    type frame = t
-
-    type status = Alive | Dead
-
-    type t = {
-      mutable pending : string;
-      mutable off : int;
-      mutable status : status;
-    }
-
-    let create () = { pending = ""; off = 0; status = Alive }
-
-    let feed d chunk n =
-      match d.status with
-      | Dead -> ()
-      | Alive ->
-        let keep = String.length d.pending - d.off in
-        let b = Bytes.create (keep + n) in
-        Bytes.blit_string d.pending d.off b 0 keep;
-        Bytes.blit chunk 0 b keep n;
-        d.pending <- Bytes.unsafe_to_string b;
-        d.off <- 0
-
-    let u32 s i =
-      (Char.code s.[i] lsl 24)
-      lor (Char.code s.[i + 1] lsl 16)
-      lor (Char.code s.[i + 2] lsl 8)
-      lor Char.code s.[i + 3]
-
-    let next d : [ `Frame of frame | `Reject of string | `Await ] =
-      match d.status with
-      | Dead -> `Await
-      | Alive ->
-        let avail = String.length d.pending - d.off in
-        if avail < 4 then `Await
-        else
-          let n = u32 d.pending d.off in
-          if n > max_body then begin
-            (* A garbage length prefix leaves nothing to resynchronise
-               on: the stream is dead, its owner will be replayed. *)
-            d.status <- Dead;
-            `Reject (Printf.sprintf "sync frame length implausible (%d bytes)" n)
-          end
-          else if avail < 4 + n then `Await
-          else begin
-            let body = String.sub d.pending (d.off + 4) n in
-            d.off <- d.off + 4 + n;
-            match decode_body body with
-            | Ok f -> `Frame f
-            | Error e -> `Reject e
-          end
-
-    let finish d =
-      match d.status with
-      | Dead -> None
-      | Alive ->
-        let avail = String.length d.pending - d.off in
-        if avail = 0 then None
-        else if avail < 4 then
-          Some "truncated sync frame (incomplete length prefix)"
-        else Some "truncated sync frame (body shorter than declared length)"
-  end
+  let codec = { Workers.magic = "pfsync"; version = 2; label = "sync frame" }
+  let encode_body (t : t) = Workers.encode_body codec t
+  let encode (t : t) = Workers.encode codec t
+  let decode_body s : (t, string) result = Workers.decode_body codec s
 end
 
 (* {1 Merge} *)
@@ -349,135 +237,52 @@ let reference ?shards config subject =
   let p = plan ?shards config in
   merge_results p (List.map (fun sh -> scrub (run_shard p subject sh)) p.shards)
 
-(* In-process re-enactment of an N-worker campaign: same shard plan,
-   same round-robin assignment, and the full wire path (encode, chunked
-   decode, order-insensitive merge) — only the fork is missing. This is
-   the fallback when the process has already spawned domains, which
-   OCaml 5 forbids mixing with [Unix.fork]. *)
-let simulate_campaign ?shards ?(frame_every = 500) ~workers config subject =
-  let p = plan ?shards config in
-  let nspawn = min (max 1 workers) (List.length p.shards) in
-  let stream w_id =
-    let buf = Buffer.create 4096 in
-    let send f = Buffer.add_string buf (Frame.encode f) in
-    List.iter
-      (fun sh ->
-        if sh.shard_id mod nspawn = w_id then begin
-          let result = run_shard ~frame_every ~send p subject sh in
-          send
-            {
-              Frame.shard = sh.shard_id;
-              seq = sh.shard_budget + 1;
-              final = true;
-              result = scrub result;
-              metrics = None;
-            }
-        end)
-      p.shards;
-    Buffer.contents buf
-  in
-  let streams = Array.init nspawn stream in
-  let pos = Array.make nspawn 0 in
-  let decs = Array.init nspawn (fun _ -> Frame.Decoder.create ()) in
-  let st = ref Merge.empty in
-  (* Interleave the worker streams in odd-sized chunks so frames arrive
-     split across reads, as they do from a real pipe. *)
-  let chunk = 4093 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    Array.iteri
-      (fun w s ->
-        let len = String.length s - pos.(w) in
-        if len > 0 then begin
-          progress := true;
-          let n = min chunk len in
-          Frame.Decoder.feed decs.(w)
-            (Bytes.of_string (String.sub s pos.(w) n))
-            n;
-          pos.(w) <- pos.(w) + n;
-          let rec drain () =
-            match Frame.Decoder.next decs.(w) with
-            | `Frame f ->
-              st := Merge.add !st f;
-              drain ()
-            | `Reject reason -> failwith ("Dist.simulate_campaign: " ^ reason)
-            | `Await -> ()
-          in
-          drain ()
-        end)
-      streams
-  done;
-  let finals =
-    List.map
-      (fun (f : Frame.t) ->
-        assert f.final;
-        f.result)
-      (Merge.frames !st)
-  in
-  merge_results p finals
-
 (* {1 Worker processes} *)
-
-let rec write_all fd b off len =
-  if len > 0 then
-    match Unix.write fd b off len with
-    | n -> write_all fd b (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
 
 let shard_trace_path dir sh = Filename.concat dir (Printf.sprintf "shard%04d.jsonl" sh.shard_id)
 
-(* Runs inside the forked child: execute the assigned shards in
-   ascending order, streaming frames to [fd]. Per-shard telemetry is
-   buffered in-process and dropped into [trace_dir] at shard end, so
-   the coordinator can concatenate the streams in shard order. *)
-let worker_main ~fd ~frame_every ~trace_dir p subject shards =
-  List.iter
-    (fun sh ->
-      (* Every shard gets a metrics registry regardless of tracing: its
-         snapshots ride the sync frames, so the coordinator always has
-         fleet telemetry to fold. *)
-      let metrics = Metrics.create () in
-      let buffered =
-        Option.map (fun dir -> (dir, Trace.buffer ())) trace_dir
-      in
-      let obs =
-        match buffered with
-        | Some (_, (sink, _)) -> Observer.create ~sink ~metrics ()
-        | None -> Observer.create ~metrics ()
-      in
-      let send f =
-        let s = Frame.encode f in
-        write_all fd (Bytes.unsafe_of_string s) 0 (String.length s)
-      in
-      let result = run_shard ~obs ~metrics ~frame_every ~send p subject sh in
-      Option.iter
-        (fun (dir, (_, contents)) ->
-          Atomic_file.write_string (shard_trace_path dir sh) (contents ()))
-        buffered;
-      (* Deterministic per-shard tallies: pure functions of the shard
-         result, so summed fleet counters are reproducible across worker
-         counts. Gauges and the timing histograms the observer recorded
-         are the scheduling-dependent part; deterministic reports
-         (result digests, --out) must not include them. *)
-      let tally name v = Metrics.add (Metrics.counter metrics name) v in
-      tally "shard/executions" result.Pfuzzer.executions;
-      tally "shard/valid" (List.length result.Pfuzzer.valid_inputs);
-      tally "shard/crashes" result.Pfuzzer.crash_total;
-      tally "shard/hangs" result.Pfuzzer.hangs;
-      tally "cache/hits" result.Pfuzzer.cache.Pfuzzer.hits;
-      tally "cache/misses" result.Pfuzzer.cache.Pfuzzer.misses;
-      tally "cache/rescues" result.Pfuzzer.cache.Pfuzzer.rescues;
-      let seq = sh.shard_budget + 1 in
-      send
-        {
-          Frame.shard = sh.shard_id;
-          seq;
-          final = true;
-          result = scrub result;
-          metrics = Some (Metrics.snapshot ~origin:sh.shard_id ~clock:seq metrics);
-        })
-    shards
+(* Runs inside a forked worker: execute one shard, streaming its frames
+   through [send]. Per-shard telemetry is buffered in-process and
+   dropped into [trace_dir] at shard end, so the coordinator can
+   concatenate the streams in shard order. *)
+let worker_shard ~send ~frame_every ~trace_dir p subject sh =
+  (* Every shard gets a metrics registry regardless of tracing: its
+     snapshots ride the sync frames, so the coordinator always has
+     fleet telemetry to fold. *)
+  let metrics = Metrics.create () in
+  let buffered = Option.map (fun dir -> (dir, Trace.buffer ())) trace_dir in
+  let obs =
+    match buffered with
+    | Some (_, (sink, _)) -> Observer.create ~sink ~metrics ()
+    | None -> Observer.create ~metrics ()
+  in
+  let result = run_shard ~obs ~metrics ~frame_every ~send p subject sh in
+  Option.iter
+    (fun (dir, (_, contents)) ->
+      Atomic_file.write_string (shard_trace_path dir sh) (contents ()))
+    buffered;
+  (* Deterministic per-shard tallies: pure functions of the shard
+     result, so summed fleet counters are reproducible across worker
+     counts. Gauges and the timing histograms the observer recorded
+     are the scheduling-dependent part; deterministic reports
+     (result digests, --out) must not include them. *)
+  let tally name v = Metrics.add (Metrics.counter metrics name) v in
+  tally "shard/executions" result.Pfuzzer.executions;
+  tally "shard/valid" (List.length result.Pfuzzer.valid_inputs);
+  tally "shard/crashes" result.Pfuzzer.crash_total;
+  tally "shard/hangs" result.Pfuzzer.hangs;
+  tally "cache/hits" result.Pfuzzer.cache.Pfuzzer.hits;
+  tally "cache/misses" result.Pfuzzer.cache.Pfuzzer.misses;
+  tally "cache/rescues" result.Pfuzzer.cache.Pfuzzer.rescues;
+  let seq = sh.shard_budget + 1 in
+  send
+    {
+      Frame.shard = sh.shard_id;
+      seq;
+      final = true;
+      result = scrub result;
+      metrics = Some (Metrics.snapshot ~origin:sh.shard_id ~clock:seq metrics);
+    }
 
 (* {1 The coordinator} *)
 
@@ -496,41 +301,6 @@ type outcome = {
          across worker counts *)
   wall_clock_s : float;
 }
-
-type wrec = {
-  w_id : int;
-  w_pid : int;
-  w_fd : Unix.file_descr;
-  w_dec : Frame.Decoder.t;
-  w_shards : shard list;
-  mutable w_killed : bool;
-}
-
-let status_string = function
-  | Unix.WEXITED c -> Printf.sprintf "exit:%d" c
-  | Unix.WSIGNALED s ->
-    (* OCaml numbers signals internally; report the conventional POSIX
-       number for the ones a campaign can realistically meet. *)
-    let posix =
-      if s = Sys.sigkill then 9
-      else if s = Sys.sigterm then 15
-      else if s = Sys.sigint then 2
-      else if s = Sys.sigsegv then 11
-      else if s = Sys.sigpipe then 13
-      else abs s
-    in
-    Printf.sprintf "signal:%d" posix
-  | Unix.WSTOPPED s -> Printf.sprintf "stopped:%d" s
-
-let rec waitpid_eintr pid =
-  match Unix.waitpid [] pid with
-  | _, status -> status
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_eintr pid
-
-let rec read_eintr fd buf =
-  match Unix.read fd buf 0 (Bytes.length buf) with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_eintr fd buf
 
 let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
     ?(trace = false) ?obs ?metrics_file ?postmortem ?kill_worker config subject
@@ -641,164 +411,68 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
         Progress.print pl (if health = "" then line else line ^ " | " ^ health)
       end
   in
-  let spawn ~extra_close w_id shards =
-    let r, w = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-      (* Child: sees only its own write end. [_exit], not [exit] — the
-         parent's at_exit handlers and channel buffers are not ours to
-         run or flush. *)
-      (try
-         Unix.close r;
-         List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) extra_close;
-         worker_main ~fd:w ~frame_every ~trace_dir p subject shards;
-         Unix.close w;
-         Unix._exit 0
-       with _ -> Unix._exit 3)
-    | pid ->
-      Unix.close w;
-      emit (Event.Worker_spawn { worker = w_id; pid; shards = List.length shards });
-      Hashtbl.replace worker_health w_id "run";
-      {
-        w_id;
-        w_pid = pid;
-        w_fd = r;
-        w_dec = Frame.Decoder.create ();
-        w_shards = shards;
-        w_killed = false;
-      }
+  let st = ref Merge.empty in
+  let victim = ref None in
+  let on_spawn ~worker ~pid =
+    emit
+      (Event.Worker_spawn
+         { worker; pid; shards = List.length (Merge.missing p !st) });
+    Hashtbl.replace worker_health worker "run";
+    if kill_worker = Some worker then victim := Some pid
   in
-  let on_frame st w (f : Frame.t) =
+  let on_message ~worker ~task:_ (f : Frame.t) =
+    st := Merge.add !st f;
     incr accepted;
     (match f.metrics with
      | Some s -> telemetry := Metrics.Fleet.add !telemetry s
      | None -> ());
-    emit
-      (Event.Worker_frame
-         { worker = w.w_id; shard = f.shard; seq = f.seq; final = f.final });
+    emit (Event.Worker_frame { worker; shard = f.shard; seq = f.seq; final = f.final });
     write_metrics ~force:false;
-    paint_live ~final:false st;
-    if (not w.w_killed) && kill_worker = Some w.w_id then begin
-      w.w_killed <- true;
-      Unix.kill w.w_pid Sys.sigkill
-    end
+    paint_live ~final:false !st;
+    (match !victim with
+     | Some pid when kill_worker = Some worker ->
+       victim := None;
+       Unix.kill pid Sys.sigkill
+     | _ -> ());
+    if f.final then `Done else `Progress
   in
-  let on_reject w reason = rejected := (w.w_id, reason) :: !rejected in
-  let drain st w =
-    let rec go st =
-      match Frame.Decoder.next w.w_dec with
-      | `Frame f ->
-        let st = Merge.add st f in
-        on_frame st w f;
-        go st
-      | `Reject reason ->
-        on_reject w reason;
-        go st
-      | `Await -> st
-    in
-    go st
+  let on_exit ~worker ~status ~lost =
+    statuses := (worker, status) :: !statuses;
+    emit
+      (Event.Worker_exit
+         { worker; status; missing = (if lost = None then 0 else 1) });
+    Hashtbl.replace worker_health worker status;
+    (* Abnormal death: dump the coordinator's retained lifecycle events
+       as the post-mortem — the worker itself is in no state to write
+       one. *)
+    if status <> "exit:0" || lost <> None then
+      Option.iter
+        (fun r -> ignore (Observer.flight_dump r ~reason:(Printf.sprintf "worker%d" worker)))
+        recorder;
+    paint_live ~final:false !st
   in
-  let buf = Bytes.create 65536 in
-  (* Read every live pipe until all workers reach EOF; frames arrive in
-     whatever order the kernel delivers them, which is exactly what the
-     order-insensitive merge absorbs. *)
-  let rec supervise st live =
-    match live with
-    | [] -> st
-    | _ -> (
-      match Unix.select (List.map (fun w -> w.w_fd) live) [] [] (-1.0) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> supervise st live
-      | ready, _, _ ->
-        let st = ref st in
-        let live =
-          List.filter
-            (fun w ->
-              if not (List.mem w.w_fd ready) then true
-              else begin
-                let n = read_eintr w.w_fd buf in
-                if n > 0 then begin
-                  Frame.Decoder.feed w.w_dec buf n;
-                  st := drain !st w;
-                  true
-                end
-                else begin
-                  (match Frame.Decoder.finish w.w_dec with
-                   | Some reason -> on_reject w reason
-                   | None -> ());
-                  Unix.close w.w_fd;
-                  let status = status_string (waitpid_eintr w.w_pid) in
-                  statuses := (w.w_id, status) :: !statuses;
-                  let missing =
-                    Merge.missing { p with shards = w.w_shards } !st
-                  in
-                  emit
-                    (Event.Worker_exit
-                       { worker = w.w_id; status; missing = List.length missing });
-                  Hashtbl.replace worker_health w.w_id status;
-                  (* Abnormal death: dump the coordinator's retained
-                     lifecycle events as the post-mortem — the worker
-                     itself is in no state to write one. *)
-                  if status <> "exit:0" || missing <> [] then
-                    Option.iter
-                      (fun r ->
-                        ignore
-                          (Observer.flight_dump r
-                             ~reason:(Printf.sprintf "worker%d" w.w_id)))
-                      recorder;
-                  paint_live ~final:false !st;
-                  false
-                end
-              end)
-            live
-        in
-        supervise !st live)
+  let on_retry ~task ~attempt reason =
+    incr replays;
+    emit
+      (Event.Retry
+         { what = "shard"; attempt; detail = Printf.sprintf "shard %d replayed: %s" task reason })
   in
-  (* Initial fleet: shards dealt round-robin across the worker count. *)
-  let nworkers = max 1 workers in
-  let nspawn = min nworkers (List.length p.shards) in
-  let assignment w_id =
-    List.filter (fun sh -> sh.shard_id mod nspawn = w_id) p.shards
+  let shard_arr = Array.of_list p.shards in
+  let unfinished =
+    Workers.run ~retries ~on_spawn
+      ~on_reject:(fun ~worker reason -> rejected := (worker, reason) :: !rejected)
+      ~on_exit ~on_retry ~workers Frame.codec
+      ~work:(fun i send ->
+        worker_shard ~send ~frame_every ~trace_dir p subject shard_arr.(i))
+      ~on_message
+      (List.map (fun sh -> sh.shard_id) p.shards)
   in
-  let fleet = ref [] in
-  for w_id = 0 to nspawn - 1 do
-    let extra_close = List.map (fun w -> w.w_fd) !fleet in
-    fleet := spawn ~extra_close w_id (assignment w_id) :: !fleet
-  done;
-  let st = ref (supervise Merge.empty (List.rev !fleet)) in
-  (* Replay rounds: shards whose final frame never arrived get a fresh
-     worker, [retries] times — the process-level analogue of
-     [Parallel.map_retry]'s bounded sequential retries. *)
-  let next_id = ref nspawn in
-  let attempt = ref 0 in
-  let rec replay () =
-    match Merge.missing p !st with
-    | [] -> ()
-    | miss ->
-      incr attempt;
-      if !attempt > retries then
-        failwith
-          (Printf.sprintf
-             "dist: shard(s) %s produced no final frame after %d replay round(s)"
-             (String.concat ", "
-                (List.map (fun sh -> string_of_int sh.shard_id) miss))
-             retries);
-      List.iter
-        (fun sh ->
-          incr replays;
-          emit
-            (Event.Retry
-               {
-                 what = "shard";
-                 attempt = !attempt;
-                 detail = Printf.sprintf "shard %d replayed after worker death" sh.shard_id;
-               }))
-        miss;
-      let w = spawn ~extra_close:[] !next_id miss in
-      incr next_id;
-      st := supervise !st [ w ];
-      replay ()
-  in
-  replay ();
+  if unfinished <> [] then
+    failwith
+      (Printf.sprintf
+         "dist: shard(s) %s produced no final frame after %d replay round(s)"
+         (String.concat ", " (List.map (fun (i, _) -> string_of_int i) unfinished))
+         retries);
   paint_live ~final:true !st;
   (match live with None -> () | Some pl -> Progress.finish pl);
   write_metrics ~force:true;
@@ -826,7 +500,7 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
   {
     result;
     o_plan = p;
-    workers = nworkers;
+    workers = max 1 workers;
     frames_accepted = !accepted;
     frames_rejected = List.rev !rejected;
     replays = !replays;

@@ -4,7 +4,8 @@
     A campaign's execution budget is split into a fixed plan of [S]
     shards — each an independent {!Pdf_core.Pfuzzer} run with its own
     SplitMix64-derived seed and budget slice — and the shards are dealt
-    round-robin to [N] worker processes. Workers stream sync frames
+    to [N] {!Workers} processes, each to the next free worker. Workers
+    stream sync frames
     (periodic {!Pdf_core.Pfuzzer.Checkpoint.partial_result} progress
     plus one final per-shard result) back over pipes; the coordinator
     folds them into a per-shard newest-frame map whose join is
@@ -79,8 +80,6 @@ module Frame : sig
             {!Pdf_obs.Metrics.Fleet}. *)
   }
 
-  val version : int
-
   val encode : t -> string
   (** Length prefix plus body, ready to write to a pipe. *)
 
@@ -89,34 +88,11 @@ module Frame : sig
       uses as its deterministic tie-break. *)
 
   val decode_body : string -> (t, string) result
-  (** [Error] carries a one-line reason. Error precedence matches
-      {!Pfuzzer.Checkpoint.decode}: too short, bad magic, payload
-      digest mismatch, version mismatch, unreadable payload — digest
-      before version, so corruption is never misreported as skew. *)
+  (** {!Workers.decode_body}: [Error] carries a one-line reason. *)
 
-  (** Incremental decoder for a byte stream arriving in arbitrary
-      chunks: partial length prefixes, partial bodies and several
-      frames per chunk are all handled; a damaged body is rejected
-      with its reason and skipped, the stream then resynchronises at
-      the next length prefix. An implausible length prefix kills the
-      stream (there is nothing to resynchronise on) — the coordinator
-      treats the worker as failed and replays its missing shards. *)
-  module Decoder : sig
-    type frame := t
-    type t
-
-    val create : unit -> t
-    val feed : t -> bytes -> int -> unit
-    (** [feed d chunk n] appends the first [n] bytes of [chunk]. *)
-
-    val next : t -> [ `Frame of frame | `Reject of string | `Await ]
-    (** Pop the next complete frame, the rejection reason of the next
-        damaged one, or [`Await] when more bytes are needed. *)
-
-    val finish : t -> string option
-    (** At EOF: [Some reason] when undecodable bytes remain buffered
-        (a truncated trailing frame), [None] on a clean boundary. *)
-  end
+  val codec : Workers.codec
+  (** The envelope sync frames travel in; a {!Workers.Decoder} made
+      with it reads a worker's stream. *)
 end
 
 (** {1 Merge}
@@ -199,16 +175,15 @@ val run_campaign :
   Pfuzzer.config ->
   Pdf_subjects.Subject.t ->
   outcome
-(** Fork [workers] (default 2) processes, run the shard plan (shards
-    dealt round-robin, each worker running its shards in ascending
-    order), fold the frame streams, replay missing shards, merge.
+(** Fork [workers] (default 2) processes, run the shard plan on them
+    ({!Workers.run}: each shard goes to the next free worker), fold the
+    frame streams, replay missing shards, merge.
 
     [frame_every] (default 500) is the progress-frame cadence in
     per-shard executions — frames ride the checkpoint hook, so it is a
     [checkpoint_every]. [retries] (default 2) bounds how many replay
-    rounds a failing set of shards gets, in the spirit of
-    {!Parallel.map_retry}; a shard still missing after the last round
-    raises [Failure]. [trace] buffers each shard's telemetry in its
+    rounds a failing set of shards gets, each in fresh workers; a shard
+    still missing after the last round raises [Failure]. [trace] buffers each shard's telemetry in its
     worker and returns the streams in {!outcome.shard_traces}. [obs]
     receives the coordinator's lifecycle events ({!Pdf_obs.Event.Shard},
     [Worker_spawn], [Worker_frame], [Worker_exit], plus a [Retry] per
@@ -217,7 +192,7 @@ val run_campaign :
     frames arrive — [pfuzzer_cli monitor] renders it. [postmortem]
     attaches a coordinator-side flight recorder to the lifecycle stream
     and dumps it to [<postmortem>-worker<id>.jsonl] when a worker dies
-    abnormally or leaves shards unfinished. [kill_worker] is the chaos
+    abnormally or leaves its shard unfinished. [kill_worker] is the chaos
     hook: SIGKILL that worker on its first accepted frame — the campaign
     must still produce the bit-identical merged result via replay.
 
@@ -235,22 +210,3 @@ val reference : ?shards:int -> Pfuzzer.config -> Pdf_subjects.Subject.t ->
     no forks, no frames, and merge. [run_campaign] with any worker
     count must equal this bit-for-bit — the [dist-equivalence]
     invariant checks exactly that. *)
-
-val simulate_campaign :
-  ?shards:int ->
-  ?frame_every:int ->
-  workers:int ->
-  Pfuzzer.config ->
-  Pdf_subjects.Subject.t ->
-  Pfuzzer.result
-(** An N-worker campaign re-enacted in one process: the same shard
-    plan and round-robin assignment as {!run_campaign}, each simulated
-    worker's frames encoded to bytes and decoded back through
-    {!Frame.Decoder} with the streams interleaved in odd-sized chunks,
-    then folded through {!Merge} and merged. Everything but the fork.
-
-    This exists because OCaml 5 refuses [Unix.fork] in any process
-    that has ever spawned a domain — {!run_campaign} raises [Failure]
-    there, and callers that may run after domain-based code (the
-    [dist-equivalence] invariant runs after grid determinism's
-    [Experiment.run ~jobs]) fall back to this. *)

@@ -41,8 +41,8 @@ let better a b =
 
 let run ?(tools = Tool.all) ?(jobs = 1) ?(retries = 2) ?trace config subjects =
   (* Flatten the (subject, tool, seed) grid: every cell is a pure
-     function of its coordinates, so the list can be mapped over a
-     domain pool. Parallel.map preserves input order, which makes the
+     function of its coordinates, so the list can be mapped over worker
+     processes. Workers.map preserves input order, which makes the
      regrouping below — and therefore the reported cells — identical to
      the sequential nested-loop order for any [jobs]. *)
   let grid =
@@ -56,7 +56,7 @@ let run ?(tools = Tool.all) ?(jobs = 1) ?(retries = 2) ?trace config subjects =
   in
   (* With [trace], each cell records into its own in-memory sink headed
      by a [Cell] event; the buffers are concatenated in grid order after
-     the parallel map, so the merged trace is identical for any [jobs]
+     the map, so the merged trace is identical for any [jobs]
      up to wall-clock timestamps. *)
   let tracing = trace <> None in
   let run_cell ((subject : Subject.t), tool, seed) =
@@ -96,20 +96,18 @@ let run ?(tools = Tool.all) ?(jobs = 1) ?(retries = 2) ?trace config subjects =
      | _ -> ());
     (make_cell subject outcome, contents ())
   in
-  (* One sick cell must not sink the grid: failed cells are retried on
-     the main domain, and a cell whose every attempt raised is marked
-     with the all-zero outcome instead of aborting the experiment. Retry
-     telemetry goes straight to the merged trace (failures are rare and
-     retries run sequentially after the parallel pass, so there is no
-     per-cell buffer to race with). *)
+  (* One sick cell must not sink the grid: a cell that raises, or whose
+     worker dies, is retried in rounds, and a cell whose every attempt
+     failed is marked with the all-zero outcome instead of aborting the
+     experiment. Retry telemetry goes straight to the merged trace, in
+     the order the coordinator saw the retries. *)
   let retry_events = ref [] in
   let grid_arr = Array.of_list grid in
-  let on_retry ~index ~attempt e =
-    let (subject : Subject.t), tool, seed = grid_arr.(index) in
+  let on_retry ~task ~attempt reason =
+    let (subject : Subject.t), tool, seed = grid_arr.(task) in
     if config.verbose then
       Printf.eprintf "[experiment] retrying %s on %s, seed %d (retry %d): %s\n%!"
-        (Tool.display_name tool) subject.name seed attempt
-        (Printexc.to_string e);
+        (Tool.display_name tool) subject.name seed attempt reason;
     retry_events :=
       {
         Pdf_obs.Event.t_ns = 0;
@@ -121,26 +119,21 @@ let run ?(tools = Tool.all) ?(jobs = 1) ?(retries = 2) ?trace config subjects =
                 Printf.sprintf "%s/%s/%d" (Tool.display_name tool) subject.name
                   seed;
               attempt;
-              detail = Printexc.to_string e;
+              detail = reason;
             };
       }
       :: !retry_events
   in
-  let attempts = Parallel.map_retry ~jobs ~retries ~on_retry run_cell grid in
+  let attempts = Workers.map ~workers:jobs ~retries ~on_retry run_cell grid in
   let failures = ref [] in
   let traced =
     List.map2
       (fun ((subject : Subject.t), tool, seed) attempt ->
         match attempt with
         | Ok cell -> cell
-        | Error e ->
+        | Error f_error ->
           failures :=
-            {
-              f_subject = subject.name;
-              f_tool = tool;
-              f_seed = seed;
-              f_error = Printexc.to_string e;
-            }
+            { f_subject = subject.name; f_tool = tool; f_seed = seed; f_error }
             :: !failures;
           (make_cell subject (Tool.empty_outcome tool ~subject:subject.name), ""))
       grid attempts

@@ -22,10 +22,12 @@ type failure = {
   f_subject : string;
   f_tool : Tool.name;
   f_seed : int;
-  f_error : string;  (** printed exception from the last attempt *)
+  f_error : string;
+      (** the printed exception from the last attempt, or how its worker
+          process ended *)
 }
 (** A grid cell whose every execution attempt (first run plus retries)
-    raised. Its contribution to {!t.cells} is the all-zero
+    raised or lost its worker process. Its contribution to {!t.cells} is the all-zero
     {!Tool.empty_outcome}. *)
 
 type t = {
@@ -48,10 +50,11 @@ val run :
   t
 (** Execute the full grid. Best per cell = highest valid-input branch
     coverage, ties broken by number of tokens found. [jobs] (default 1:
-    strictly sequential, bit-identical to the historical behaviour) fans
-    the independent (tool, subject, seed) cells across a {!Parallel}
-    domain pool; the merge order is deterministic, so the resulting
-    cells are identical to the sequential run for the same seeds.
+    strictly sequential and in-process, nothing is forked) ≥ 2 runs the
+    independent (tool, subject, seed) cells on that many forked
+    {!Workers}, each cell going to the next free worker; the merge order
+    is deterministic, so the resulting cells are identical to the
+    sequential run for the same seeds.
 
     [trace] streams every cell's telemetry as JSONL to the channel: each
     cell records into a private buffer headed by a [cell] event naming
@@ -60,11 +63,12 @@ val run :
     structure for any [jobs] (timestamps aside; see
     {!Pdf_obs.Trace.normalize}).
 
-    A cell whose run raises is retried up to [retries] (default 2) more
-    times on the main domain ({!Parallel.map_retry}); each retry emits a
-    [retry] event into the merged trace, and a cell that exhausts its
-    retries is recorded in {!t.failures} with an all-zero outcome instead
-    of aborting the grid. *)
+    A cell whose run raises, or whose worker process dies, is retried up
+    to [retries] (default 2) more times, each in a fresh worker
+    ({!Workers.map}); each retry emits a [retry] event into the merged
+    trace, and a cell that exhausts its retries is recorded in
+    {!t.failures} with an all-zero outcome instead of aborting the
+    grid. *)
 
 val cell : t -> string -> Tool.name -> cell
 (** Lookup; raises [Not_found] for an unknown subject/tool. *)

@@ -7,21 +7,18 @@ type kind =
   | Starve_fuel
   | Slow of int
   | Corrupt_cache
-  | Kill_worker
 
 let kind_label = function
   | Raise _ -> "raise"
   | Starve_fuel -> "starve_fuel"
   | Slow _ -> "slow"
   | Corrupt_cache -> "corrupt_cache"
-  | Kill_worker -> "kill_worker"
 
 let pp_kind ppf = function
   | Raise msg -> Format.fprintf ppf "raise(%s)" msg
   | Starve_fuel -> Format.pp_print_string ppf "starve_fuel"
   | Slow n -> Format.fprintf ppf "slow(%d)" n
   | Corrupt_cache -> Format.pp_print_string ppf "corrupt_cache"
-  | Kill_worker -> Format.pp_print_string ppf "kill_worker"
 
 type plan = {
   faults : (int, kind) Hashtbl.t;
@@ -43,8 +40,6 @@ let of_list bindings =
     bindings;
   { faults; triggered_rev = []; on_trigger = None }
 
-(* All injectable kinds except Kill_worker, which only makes sense for
-   grid cells, not fuzzer execution indices. *)
 let seeded_kinds =
   [|
     (fun _rng -> Raise "injected fault");

@@ -7,8 +7,8 @@
     execution counter and built from a seed, a chaos run is exactly
     reproducible: same plan, same faults, same campaign.
 
-    The plan mutates only on the driving domain (it records which faults
-    actually fired); it is not safe to share across domains. *)
+    The plan mutates as it is consumed (it records which faults actually
+    fired), so one plan drives one campaign. *)
 
 exception Injected of string
 (** The exception a {!Raise} fault makes the subject throw. Contained by
@@ -30,9 +30,6 @@ type kind =
       (** poison every cached prefix snapshot before executing — models
           snapshot corruption; the fuzzer must rescue each poisoned hit
           by re-executing cold *)
-  | Kill_worker
-      (** kill the worker processing a grid cell — consumed by the
-          eval-grid chaos tests, not by the fuzzer loop *)
 
 type plan
 

@@ -73,9 +73,7 @@ let with_frame site (body : k -> k) (k : k) : k =
 
 (* Tie a self-referential fragment: [fix (fun self -> body)] stages
    [body] exactly once, with [self] dispatching back to it. The ref is
-   written once during staging and only read afterwards, so staged
-   programs stay safe to share across domains (module-level staging runs
-   before any domain spawns). *)
+   written once during staging and only read afterwards. *)
 let fix (f : k -> k) : k =
   let r = ref stop in
   let dispatch : k = fun ctx -> !r ctx in

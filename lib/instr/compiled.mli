@@ -51,8 +51,8 @@ val fix : (k -> k) -> k
     [self] dispatches back to the staged body. Use for loops whose
     continuation set is fixed (line loops, record cycles); truly
     recursive nonterminals should remain functions that re-enter per
-    application. The internal ref is written once during staging, so
-    the result is safe to share across domains. *)
+    application. The internal ref is written once during staging and
+    only read afterwards. *)
 
 val skip_while : (Pdf_taint.Tchar.t -> Ctx.t -> bool) -> k -> k
 (** Allocation-free character-skipping loop: two step nodes tied into a

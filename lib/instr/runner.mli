@@ -142,7 +142,7 @@ val resume : snapshot -> string -> run * journal
     so that steady-state execution does not re-allocate the recording
     buffers or the coverage presence map. Results are safe to retain —
     packaging copies every buffer out of the context — but an arena is
-    single-threaded state: one arena per domain. *)
+    single-threaded state: one arena per fuzzing run. *)
 
 type arena
 
@@ -170,8 +170,8 @@ val exec_compiled : arena -> Machine.recognizer -> string -> run * journal
     state pays nothing for resumability). Works on any recognizer; pairs
     with the staged recognizers from {!Compiled} for the full compiled
     tier. The journal owns everything it needs and never goes stale;
-    replay borrows the arena's context transiently, so journals from one
-    arena must be consulted from the same domain that executes on it. *)
+    replay borrows the arena's context transiently, so a journal must
+    never be consulted while an execution is running on its arena. *)
 
 val exec_staged : arena -> Machine.recognizer -> string -> run
 (** Arena execution without journaling, for the non-incremental engine

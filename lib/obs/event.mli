@@ -81,15 +81,17 @@ type t =
           the coordinator before any worker is spawned *)
   | Worker_spawn of { worker : int; pid : int; shards : int }
       (** a campaign worker process was forked; [shards] is how many
-          plan entries it owns *)
+          plan entries were unfinished at that moment (the fleet deals
+          them to whichever worker is free) *)
   | Worker_frame of { worker : int; shard : int; seq : int; final : bool }
       (** the coordinator accepted a sync frame; [seq] is the frame's
           per-shard sequence number, [final] marks the shard's result
           frame (progress frames have [final = false]) *)
   | Worker_exit of { worker : int; status : string; missing : int }
       (** a worker's pipe reached EOF and it was reaped; [status] is
-          ["exit:<code>"] or ["signal:<signum>"], [missing] counts its
-          shards that still lack a final frame (each will be replayed) *)
+          ["exit:<code>"] or ["signal:<signum>"], [missing] is 1 when the
+          shard it was running still lacks a final frame (it will be
+          replayed), 0 otherwise *)
 
 type stamped = { t_ns : int; exec : int; ev : t }
 

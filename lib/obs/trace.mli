@@ -2,7 +2,7 @@
 
     A sink is a pair of closures, so callers can compose them ({!tee})
     or buffer per-shard and merge deterministically afterwards
-    ({!buffer}, used by the parallel evaluation grid). The fuzzer holds
+    ({!buffer}, used by the evaluation grid's workers). The fuzzer holds
     an optional observer; with no observer installed the hot path pays
     nothing — not even event construction. *)
 

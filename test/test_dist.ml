@@ -8,6 +8,7 @@
 
 module Dist = Pdf_eval.Dist
 module Frame = Dist.Frame
+module Decoder = Pdf_eval.Workers.Decoder
 module Merge = Dist.Merge
 module Pfuzzer = Pdf_core.Pfuzzer
 module Coverage = Pdf_instr.Coverage
@@ -189,7 +190,7 @@ let test_frame_damage () =
 (* {1 Streaming decoder} *)
 
 let feed_string d s =
-  Frame.Decoder.feed d (Bytes.of_string s) (String.length s)
+  Decoder.feed d (Bytes.of_string s) (String.length s)
 
 let feed_chunked d chunk s =
   let n = String.length s in
@@ -204,7 +205,7 @@ let feed_chunked d chunk s =
 
 let drain d =
   let rec go acc =
-    match Frame.Decoder.next d with
+    match Decoder.next d with
     | `Frame f -> go (`Frame f :: acc)
     | `Reject r -> go (`Reject r :: acc)
     | `Await -> List.rev acc
@@ -222,7 +223,7 @@ let test_decoder_interleaved_partials () =
     ]
   in
   let wire = String.concat "" (List.map Frame.encode frames) in
-  let d = Frame.Decoder.create () in
+  let d = Decoder.create Frame.codec in
   feed_chunked d 7 wire;
   let got = drain d in
   Alcotest.(check int) "three frames decoded" 3 (List.length got);
@@ -234,7 +235,7 @@ let test_decoder_interleaved_partials () =
           (f.shard = expect.shard && f.seq = expect.seq && f.final = expect.final)
       | `Reject r -> Alcotest.failf "unexpected reject: %s" r)
     frames got;
-  Alcotest.(check (option string)) "clean EOF" None (Frame.Decoder.finish d)
+  Alcotest.(check (option string)) "clean EOF" None (Decoder.finish d)
 
 let test_decoder_damaged_frame_resync () =
   (* good | corrupted | good, split into 5-byte chunks: the damaged
@@ -246,7 +247,7 @@ let test_decoder_damaged_frame_resync () =
     corrupt_byte whole (String.length whole - 2)
   in
   let g2 = Frame.encode (sample_frame ~shard:2 ~seq:3 ()) in
-  let d = Frame.Decoder.create () in
+  let d = Decoder.create Frame.codec in
   feed_chunked d 5 (g1 ^ bad ^ g2);
   (match drain d with
    | [ `Frame f1; `Reject reason; `Frame f2 ] ->
@@ -256,29 +257,29 @@ let test_decoder_damaged_frame_resync () =
        && not (String.contains reason '\n')
        && f2.Frame.shard = 2)
    | outs -> Alcotest.failf "expected frame/reject/frame, got %d outputs" (List.length outs));
-  Alcotest.(check (option string)) "clean EOF" None (Frame.Decoder.finish d)
+  Alcotest.(check (option string)) "clean EOF" None (Decoder.finish d)
 
 let test_decoder_truncation () =
   let wire = Frame.encode (sample_frame ()) in
   (* Cut inside the length prefix. *)
-  let d = Frame.Decoder.create () in
+  let d = Decoder.create Frame.codec in
   feed_string d (String.sub wire 0 2);
   Alcotest.(check bool) "awaiting" true (drain d = []);
-  (match Frame.Decoder.finish d with
+  (match Decoder.finish d with
    | Some reason ->
      Alcotest.(check bool) "prefix truncation named" true
        (String.length reason > 0 && not (String.contains reason '\n'))
    | None -> Alcotest.fail "truncated length prefix went unreported");
   (* Cut inside the body. *)
-  let d = Frame.Decoder.create () in
+  let d = Decoder.create Frame.codec in
   feed_string d (String.sub wire 0 (String.length wire - 3));
   Alcotest.(check bool) "awaiting body" true (drain d = []);
-  (match Frame.Decoder.finish d with
+  (match Decoder.finish d with
    | Some _ -> ()
    | None -> Alcotest.fail "truncated body went unreported")
 
 let test_decoder_implausible_length () =
-  let d = Frame.Decoder.create () in
+  let d = Decoder.create Frame.codec in
   feed_string d "\xff\xff\xff\xff garbage follows";
   (match drain d with
    | [ `Reject reason ] ->
@@ -289,7 +290,7 @@ let test_decoder_implausible_length () =
   feed_string d "more garbage";
   Alcotest.(check bool) "dead stream stays quiet" true (drain d = []);
   Alcotest.(check (option string)) "dead stream EOF is clean" None
-    (Frame.Decoder.finish d)
+    (Decoder.finish d)
 
 (* {1 Model-based replay}
 
@@ -330,8 +331,8 @@ let test_model_replay () =
   let subject = subject "paren" in
   let config = { Pfuzzer.default_config with max_executions = 240; seed = 11 } in
   let p = Dist.plan ~shards:4 config in
-  (* Worker 0 owns shards 0 and 2, worker 1 owns 1 and 3 — the
-     campaign's round-robin deal. *)
+  (* One possible deal: worker 0 runs shards 0 and 2, worker 1 runs 1
+     and 3. *)
   let stream w =
     List.concat_map
       (fun sh -> record_shard_frames p subject sh)
@@ -418,6 +419,13 @@ let test_campaign_kill_worker () =
   Alcotest.(check string)
     "merged result identical despite a SIGKILLed worker"
     (campaign_bytes undisturbed) (campaign_bytes killed);
+  (* A lone worker killed: the shards it never got are replayed too. *)
+  let alone =
+    Dist.run_campaign ~workers:1 ~shards:4 ~frame_every:10 ~kill_worker:0 config
+      subject
+  in
+  Alcotest.(check string) "merged result identical after the only worker died"
+    (campaign_bytes undisturbed) (campaign_bytes alone);
   (* The kill should normally land mid-campaign; when it does, the
      worker's missing shards must have been replayed. *)
   (match List.assoc_opt 1 killed.worker_status with

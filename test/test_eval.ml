@@ -112,8 +112,8 @@ let test_experiment_best_of_seeds () =
   Alcotest.(check bool) "best of seeds >= each single seed" true
     (cell.Experiment.coverage_percent >= Float.max (single 1) (single 2))
 
-(* The domain-pool runner must be an implementation detail: the same
-   grid fanned over 4 domains merges into cells semantically identical
+(* The worker processes must be an implementation detail: the same
+   grid fanned over 4 workers merges into cells semantically identical
    to the sequential run. [Experiment.equal] compares everything that
    matters — valid inputs, executions, coverage sets and found tokens —
    while ignoring the wall-clock timing fields, which differ between
@@ -156,51 +156,97 @@ let test_experiment_no_failures () =
   Alcotest.(check int) "healthy grid has no failed cells" 0
     (List.length e.Experiment.failures)
 
-(* {1 Parallel retry} *)
+(* {1 Worker processes}
 
-let test_map_retry_order () =
+   [Workers.map] with [workers] ≥ 2 runs each item in a forked process,
+   so attempt counts must live somewhere a process boundary cannot
+   erase: a file per item, one byte appended per attempt. *)
+
+let with_attempt_dir f =
+  let dir = Filename.temp_dir "pftest" "" in
+  let path i = Filename.concat dir (string_of_int i) in
+  let record i =
+    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 (path i) in
+    output_char oc '.';
+    close_out oc
+  in
+  let count i = try (Unix.stat (path i)).Unix.st_size with Unix.Unix_error _ -> 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f ~record ~count)
+
+let test_workers_order () =
   let items = List.init 17 Fun.id in
-  let out = Pdf_eval.Parallel.map_retry ~jobs:4 (fun x -> x * x) items in
+  let out = Pdf_eval.Workers.map ~workers:4 (fun x -> x * x) items in
   Alcotest.(check (list int)) "order and values preserved"
     (List.map (fun x -> x * x) items)
     (List.map
-       (function Ok v -> v | Error _ -> Alcotest.fail "unexpected failure")
-       out)
+       (function Ok v -> v | Error e -> Alcotest.failf "unexpected failure: %s" e)
+       out);
+  Alcotest.(check int) "empty input, empty output" 0
+    (List.length (Pdf_eval.Workers.map ~workers:3 Fun.id []))
 
-let test_map_retry_transient_failure () =
+let test_workers_transient_failure () =
   (* Item 3 fails on its first two attempts, then succeeds; every other
      item succeeds immediately. The whole batch must come back [Ok]. *)
-  let attempts = Array.init 8 (fun _ -> Atomic.make 0) in
-  let retried = ref [] in
-  let out =
-    Pdf_eval.Parallel.map_retry ~jobs:3 ~retries:2
-      ~on_retry:(fun ~index ~attempt _e -> retried := (index, attempt) :: !retried)
-      (fun i ->
-        let n = Atomic.fetch_and_add attempts.(i) 1 in
-        if i = 3 && n < 2 then failwith "transient";
-        i * 10)
-      (List.init 8 Fun.id)
-  in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i * 10) v
-      | Error _ -> Alcotest.failf "slot %d failed after retries" i)
-    out;
-  Alcotest.(check int) "item 3 ran three times" 3 (Atomic.get attempts.(3));
-  Alcotest.(check (list (pair int int))) "on_retry saw index 3, attempts 1 and 2"
-    [ (3, 1); (3, 2) ]
-    (List.rev !retried)
+  with_attempt_dir (fun ~record ~count ->
+      let retried = ref [] in
+      let out =
+        Pdf_eval.Workers.map ~workers:3 ~retries:2
+          ~on_retry:(fun ~task ~attempt _ -> retried := (task, attempt) :: !retried)
+          (fun i ->
+            record i;
+            if i = 3 && count i < 3 then failwith "transient";
+            i * 10)
+          (List.init 8 Fun.id)
+      in
+      List.iteri
+        (fun i r ->
+          match r with
+          | Ok v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i * 10) v
+          | Error e -> Alcotest.failf "slot %d failed after retries: %s" i e)
+        out;
+      Alcotest.(check int) "item 3 ran three times" 3 (count 3);
+      Alcotest.(check (list (pair int int))) "on_retry saw index 3, attempts 1 and 2"
+        [ (3, 1); (3, 2) ]
+        (List.rev !retried))
 
-let test_map_retry_permanent_failure () =
+let test_workers_permanent_failure () =
   let out =
-    Pdf_eval.Parallel.map_retry ~jobs:2 ~retries:1
+    Pdf_eval.Workers.map ~workers:2 ~retries:1
       (fun i -> if i = 1 then failwith "permanent" else i)
       [ 0; 1; 2 ]
   in
   match out with
-  | [ Ok 0; Error (Failure _); Ok 2 ] -> ()
+  | [ Ok 0; Error e; Ok 2 ] ->
+    Alcotest.(check string) "last attempt's exception" "Failure(\"permanent\")" e
   | _ -> Alcotest.fail "expected exactly slot 1 to exhaust its retries"
+
+let test_workers_sigkill () =
+  (* Item 2's worker is SIGKILLed in the middle of its first attempt; the
+     item is replayed in a fresh worker and its neighbours are
+     unaffected. *)
+  with_attempt_dir (fun ~record ~count ->
+      let reasons = ref [] in
+      let out =
+        Pdf_eval.Workers.map ~workers:2 ~retries:1
+          ~on_retry:(fun ~task ~attempt:_ reason -> reasons := (task, reason) :: !reasons)
+          (fun i ->
+            record i;
+            if i = 2 && count i = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+            -i)
+          (List.init 5 Fun.id)
+      in
+      Alcotest.(check (list int)) "every item recovered"
+        [ 0; -1; -2; -3; -4 ]
+        (List.map (function Ok v -> v | Error e -> Alcotest.failf "failed: %s" e) out);
+      match !reasons with
+      | [ (2, reason) ] ->
+        Alcotest.(check bool) "the retry names the signal" true
+          (String.ends_with ~suffix:"(signal:9) without finishing it" reason)
+      | _ -> Alcotest.fail "expected exactly one retry, of item 2")
 
 let render f =
   let buf = Buffer.create 1024 in
@@ -263,13 +309,15 @@ let () =
           Alcotest.test_case "healthy grid has no failures" `Quick
             test_experiment_no_failures;
         ] );
-      ( "parallel-retry",
+      ( "workers",
         [
-          Alcotest.test_case "order preserved" `Quick test_map_retry_order;
+          Alcotest.test_case "order preserved" `Quick test_workers_order;
           Alcotest.test_case "transient failure recovered" `Quick
-            test_map_retry_transient_failure;
+            test_workers_transient_failure;
           Alcotest.test_case "permanent failure reported in place" `Quick
-            test_map_retry_permanent_failure;
+            test_workers_permanent_failure;
+          Alcotest.test_case "SIGKILLed worker mid-task is replayed" `Quick
+            test_workers_sigkill;
         ] );
       ( "pipeline", [ Alcotest.test_case "three-stage hand-over" `Quick test_pipeline ] );
       ( "report",
