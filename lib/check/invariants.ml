@@ -345,15 +345,16 @@ let run ?(execs = 400) ?(seed = 1) subject =
   (* Distributed equivalence: the same campaign through the in-process
      sequential reference and through forked fleets of 1, 2 and 4
      workers must merge to one bit-identical result — the shard plan,
-     not the process topology, defines the campaign. *)
+     not the process topology, defines the campaign. The fleets paint no
+     live status line: it would land in the middle of the check report. *)
   let dist_shards = 4 in
   let dist_ref = Dist.reference ~shards:dist_shards config subject in
   let frame_every = max 1 (execs / (2 * dist_shards)) in
   let dist_results =
     List.map
       (fun workers ->
-        (Dist.run_campaign ~workers ~shards:dist_shards ~frame_every config
-           subject)
+        (Dist.run_campaign ~workers ~shards:dist_shards ~frame_every ~live:false
+           config subject)
           .result)
       [ 1; 2; 4 ]
   in

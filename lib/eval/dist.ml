@@ -64,14 +64,9 @@ module Frame = struct
     metrics : Metrics.snapshot option;
   }
 
-  (* v2: frames carry an optional metrics snapshot. Frames only ever
-     cross a pipe between a coordinator and the workers it forked — both
-     ends are the same binary — so the bump is pure hygiene against a
-     stale reader. *)
-  let codec = { Workers.magic = "pfsync"; version = 2; label = "sync frame" }
-  let encode_body (t : t) = Workers.encode_body codec t
-  let encode (t : t) = Workers.encode codec t
-  let decode_body s : (t, string) result = Workers.decode_body codec s
+  let encode_body (t : t) = Workers.encode_body t
+  let encode (t : t) = Workers.encode t
+  let decode_body s : (t, string) result = Workers.decode_body s
 end
 
 (* {1 Merge} *)
@@ -303,8 +298,8 @@ type outcome = {
 }
 
 let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
-    ?(trace = false) ?obs ?metrics_file ?postmortem ?kill_worker config subject
-    =
+    ?(trace = false) ?obs ?metrics_file ?postmortem ?kill_worker ?live config
+    subject =
   let t0 = Unix.gettimeofday () in
   let p = plan ?shards config in
   (* Coordinator-side flight recorder: a SIGKILLed worker cannot dump
@@ -345,14 +340,17 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
           (Exposition.prometheus (Metrics.Fleet.totals !telemetry))
       end
   in
-  (* The live fleet status line: always on when stderr is a tty (no
+  (* The live fleet status line: by default on when stderr is a tty (no
      opt-in flag needed), absent otherwise — a redirected campaign log
      stays clean. Rendering reuses the single-run line, extended with
      per-worker health columns. *)
   let live =
-    if (try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false) then
-      Some (Progress.create ())
-    else None
+    let on =
+      match live with
+      | Some on -> on
+      | None -> ( try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false)
+    in
+    if on then Some (Progress.create ()) else None
   in
   let worker_health : (int, string) Hashtbl.t = Hashtbl.create 8 in
   let outcomes_total =
@@ -461,7 +459,7 @@ let run_campaign ?(workers = 2) ?shards ?(frame_every = 500) ?(retries = 2)
   let unfinished =
     Workers.run ~retries ~on_spawn
       ~on_reject:(fun ~worker reason -> rejected := (worker, reason) :: !rejected)
-      ~on_exit ~on_retry ~workers Frame.codec
+      ~on_exit ~on_retry ~workers
       ~work:(fun i send ->
         worker_shard ~send ~frame_every ~trace_dir p subject shard_arr.(i))
       ~on_message

@@ -57,12 +57,8 @@ val shard_offsets : plan -> int array
 (** {1 Sync frames}
 
     One frame carries one shard's campaign-so-far as a
-    {!Pfuzzer.result}. On the wire a frame is a 4-byte big-endian body
-    length followed by the body
-    [magic "pfsync" | version byte | MD5 of payload | payload]
-    — the checkpoint envelope of {!Pfuzzer.Checkpoint}, under a
-    distinct magic so a sync frame can never be mistaken for an
-    on-disk checkpoint. *)
+    {!Pfuzzer.result}, in the {!Workers} frame envelope (length prefix,
+    magic ["pfsync"], version, MD5, marshalled payload). *)
 
 module Frame : sig
   type t = {
@@ -89,10 +85,6 @@ module Frame : sig
 
   val decode_body : string -> (t, string) result
   (** {!Workers.decode_body}: [Error] carries a one-line reason. *)
-
-  val codec : Workers.codec
-  (** The envelope sync frames travel in; a {!Workers.Decoder} made
-      with it reads a worker's stream. *)
 end
 
 (** {1 Merge}
@@ -172,6 +164,7 @@ val run_campaign :
   ?metrics_file:string ->
   ?postmortem:string ->
   ?kill_worker:int ->
+  ?live:bool ->
   Pfuzzer.config ->
   Pdf_subjects.Subject.t ->
   outcome
@@ -196,9 +189,10 @@ val run_campaign :
     hook: SIGKILL that worker on its first accepted frame — the campaign
     must still produce the bit-identical merged result via replay.
 
-    When stderr is a tty the coordinator also paints a live fleet-wide
-    status line (the single-run line plus per-worker health columns),
-    refreshed as frames arrive; redirected output stays clean.
+    With [live] (default: whether stderr is a tty) the coordinator also
+    paints a live fleet-wide status line on stderr (the single-run line
+    plus per-worker health columns), refreshed as frames arrive;
+    redirected output stays clean.
 
     Worker-side subject crashes are ordinary {!Pfuzzer} crash verdicts
     inside the shard result ({!Pdf_instr.Runner.exec}'s containment

@@ -1,5 +1,6 @@
 module Subject = Pdf_subjects.Subject
 module Coverage = Pdf_instr.Coverage
+module Atomic_file = Pdf_util.Atomic_file
 
 type config = { budget_units : int; seeds : int list; verbose : bool }
 
@@ -54,47 +55,50 @@ let run ?(tools = Tool.all) ?(jobs = 1) ?(retries = 2) ?trace config subjects =
           tools)
       subjects
   in
-  (* With [trace], each cell records into its own in-memory sink headed
-     by a [Cell] event; the buffers are concatenated in grid order after
-     the map, so the merged trace is identical for any [jobs]
-     up to wall-clock timestamps. *)
-  let tracing = trace <> None in
-  let run_cell ((subject : Subject.t), tool, seed) =
+  (* With [trace], each cell streams its telemetry, headed by a [Cell]
+     event, into its own file in a private directory, so a worker process
+     hands back only the cell, whatever the size of its trace. The files
+     are concatenated in grid order after the map, so the merged trace is
+     identical for any [jobs] up to wall-clock timestamps. *)
+  let trace_dir = Option.map (fun _ -> Filename.temp_dir "pfgrid" "") trace in
+  let cell_trace dir i = Filename.concat dir (Printf.sprintf "cell%04d.jsonl" i) in
+  let run_cell (i, ((subject : Subject.t), tool, seed)) =
     if config.verbose then
       Printf.eprintf "[experiment] %s on %s, seed %d...\n%!"
         (Tool.display_name tool) subject.name seed;
-    let obs, contents =
-      if tracing then begin
-        let sink, contents = Pdf_obs.Trace.buffer () in
-        Pdf_obs.Trace.emit sink
-          {
-            Pdf_obs.Event.t_ns = 0;
-            exec = 0;
-            ev =
-              Pdf_obs.Event.Cell
-                { tool = Tool.display_name tool; subject = subject.name; seed };
-          };
-        (Some (Pdf_obs.Observer.create ~sink ()), contents)
-      end
-      else (None, fun () -> "")
+    let run obs =
+      let outcome =
+        Tool.run ?obs tool ~budget_units:config.budget_units ~seed subject
+      in
+      (* AFL and KLEE take no observer, so their segments would otherwise
+         be empty; give them at least the run summary. *)
+      (match obs with
+       | Some o when tool <> Tool.Pfuzzer ->
+         Pdf_obs.Observer.emit o ~exec:outcome.Tool.executions
+           (Pdf_obs.Event.Run_done
+              {
+                valid = List.length outcome.Tool.valid_inputs;
+                cov = Coverage.cardinal outcome.Tool.valid_coverage;
+                wall_ns = int_of_float (outcome.Tool.wall_clock_s *. 1e9);
+                execs_per_sec = outcome.Tool.execs_per_sec;
+              })
+       | _ -> ());
+      make_cell subject outcome
     in
-    let outcome =
-      Tool.run ?obs tool ~budget_units:config.budget_units ~seed subject
-    in
-    (* AFL and KLEE take no observer, so their segments would otherwise
-       be empty; give them at least the run summary. *)
-    (match obs with
-     | Some o when tool <> Tool.Pfuzzer ->
-       Pdf_obs.Observer.emit o ~exec:outcome.Tool.executions
-         (Pdf_obs.Event.Run_done
+    match trace_dir with
+    | None -> run None
+    | Some dir ->
+      Atomic_file.with_out (cell_trace dir i) (fun oc ->
+          let sink = Pdf_obs.Trace.jsonl oc in
+          Pdf_obs.Trace.emit sink
             {
-              valid = List.length outcome.Tool.valid_inputs;
-              cov = Coverage.cardinal outcome.Tool.valid_coverage;
-              wall_ns = int_of_float (outcome.Tool.wall_clock_s *. 1e9);
-              execs_per_sec = outcome.Tool.execs_per_sec;
-            })
-     | _ -> ());
-    (make_cell subject outcome, contents ())
+              Pdf_obs.Event.t_ns = 0;
+              exec = 0;
+              ev =
+                Pdf_obs.Event.Cell
+                  { tool = Tool.display_name tool; subject = subject.name; seed };
+            };
+          run (Some (Pdf_obs.Observer.create ~sink ())))
   in
   (* One sick cell must not sink the grid: a cell that raises, or whose
      worker dies, is retried in rounds, and a cell whose every attempt
@@ -124,28 +128,49 @@ let run ?(tools = Tool.all) ?(jobs = 1) ?(retries = 2) ?trace config subjects =
       }
       :: !retry_events
   in
-  let attempts = Workers.map ~workers:jobs ~retries ~on_retry run_cell grid in
-  let failures = ref [] in
-  let traced =
-    List.map2
-      (fun ((subject : Subject.t), tool, seed) attempt ->
-        match attempt with
-        | Ok cell -> cell
-        | Error f_error ->
-          failures :=
-            { f_subject = subject.name; f_tool = tool; f_seed = seed; f_error }
-            :: !failures;
-          (make_cell subject (Tool.empty_outcome tool ~subject:subject.name), ""))
-      grid attempts
+  let attempts =
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter
+          (fun dir ->
+            (* Also sweeps the temp files of writes a dead worker left. *)
+            Array.iter
+              (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+              (Sys.readdir dir);
+            try Unix.rmdir dir with Unix.Unix_error _ -> ())
+          trace_dir)
+      (fun () ->
+        let attempts =
+          Workers.map ~workers:jobs ~retries ~on_retry run_cell
+            (List.mapi (fun i c -> (i, c)) grid)
+        in
+        (match (trace, trace_dir) with
+         | Some oc, Some dir ->
+           List.iteri
+             (fun i attempt ->
+               if Result.is_ok attempt then
+                 output_string oc (Atomic_file.read_string (cell_trace dir i)))
+             attempts;
+           let sink = Pdf_obs.Trace.jsonl oc in
+           List.iter (Pdf_obs.Trace.emit sink) (List.rev !retry_events);
+           flush oc
+         | _ -> ());
+        attempts)
   in
-  (match trace with
-   | None -> ()
-   | Some oc ->
-     List.iter (fun (_, buf) -> output_string oc buf) traced;
-     let sink = Pdf_obs.Trace.jsonl oc in
-     List.iter (Pdf_obs.Trace.emit sink) (List.rev !retry_events);
-     flush oc);
-  let results = Array.of_list (List.map fst traced) in
+  let failures = ref [] in
+  let results =
+    Array.of_list
+      (List.map2
+         (fun ((subject : Subject.t), tool, seed) attempt ->
+           match attempt with
+           | Ok cell -> cell
+           | Error f_error ->
+             failures :=
+               { f_subject = subject.name; f_tool = tool; f_seed = seed; f_error }
+               :: !failures;
+             make_cell subject (Tool.empty_outcome tool ~subject:subject.name))
+         grid attempts)
+  in
   let idx = ref 0 in
   let cells =
     List.map

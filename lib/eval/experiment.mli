@@ -57,11 +57,11 @@ val run :
     sequential run for the same seeds.
 
     [trace] streams every cell's telemetry as JSONL to the channel: each
-    cell records into a private buffer headed by a [cell] event naming
-    its (tool, subject, seed) coordinates, and the buffers are written in
-    grid order after all cells finish — so the merged trace has the same
-    structure for any [jobs] (timestamps aside; see
-    {!Pdf_obs.Trace.normalize}).
+    cell records into a private temporary file headed by a [cell] event
+    naming its (tool, subject, seed) coordinates (a worker sends back
+    only the cell), and the files are copied to [trace] in grid order
+    after all cells finish — so the merged trace has the same structure
+    for any [jobs] (timestamps aside; see {!Pdf_obs.Trace.normalize}).
 
     A cell whose run raises, or whose worker process dies, is retried up
     to [retries] (default 2) more times, each in a fresh worker

@@ -1,16 +1,20 @@
 (* {1 Frames} *)
 
-type codec = { magic : string; version : int; label : string }
+(* One envelope for every fleet: both ends of a pipe are the same binary,
+   so the magic and version only guard against a stale reader. Version 2
+   is the sync-frame version that first carried a metrics snapshot. *)
+let magic = "pfsync"
+let version = 2
 
 (* Frames cross a pipe, not a filesystem: anything claiming to be larger
    than this is a corrupted length prefix, not a real frame. *)
 let max_body = 1 lsl 28
 
-let encode_body c v =
+let encode_body v =
   let payload = Marshal.to_string v [] in
   let b = Buffer.create (String.length payload + 32) in
-  Buffer.add_string b c.magic;
-  Buffer.add_char b (Char.chr c.version);
+  Buffer.add_string b magic;
+  Buffer.add_char b (Char.chr version);
   Buffer.add_string b (Digest.string payload);
   Buffer.add_string b payload;
   Buffer.contents b
@@ -20,78 +24,86 @@ let u32 n =
   Bytes.set_int32_be b 0 (Int32.of_int n);
   b
 
-let encode c v =
-  let body = encode_body c v in
+let encode v =
+  let body = encode_body v in
   Bytes.unsafe_to_string (u32 (String.length body)) ^ body
 
-let decode_body c s =
-  let mlen = String.length c.magic in
+let decode_body s =
+  let mlen = String.length magic in
   let hlen = mlen + 1 + 16 in
-  if String.length s < hlen then Error (c.label ^ " too short to be valid")
-  else if String.sub s 0 mlen <> c.magic then
-    Error (Printf.sprintf "not a pfuzzer %s (bad magic)" c.label)
+  if String.length s < hlen then Error "frame too short to be valid"
+  else if String.sub s 0 mlen <> magic then Error "not a pfuzzer frame (bad magic)"
   else
     let digest = String.sub s (mlen + 1) 16 in
     let payload = String.sub s hlen (String.length s - hlen) in
     if not (String.equal (Digest.string payload) digest) then
-      Error (c.label ^ " corrupted (payload digest mismatch)")
+      Error "frame corrupted (payload digest mismatch)"
     else
       let v = Char.code s.[mlen] in
-      if v <> c.version then
+      if v <> version then
         Error
-          (Printf.sprintf "%s version mismatch (frame has v%d, this build reads v%d)"
-             c.label v c.version)
+          (Printf.sprintf "frame version mismatch (frame has v%d, this build reads v%d)" v
+             version)
       else
         match Marshal.from_string payload 0 with
         | f -> Ok f
-        | exception _ ->
-          Error (c.label ^ " payload unreadable (truncated or incompatible)")
+        | exception _ -> Error "frame payload unreadable (truncated or incompatible)"
 
 module Decoder = struct
+  (* Unread bytes are [buf.[off .. len - 1]]. A feed compacts them to the
+     front only when the chunk does not fit, and grows [buf] by doubling,
+     so a frame of any size costs amortised constant work per byte. *)
   type 'a t = {
-    codec : codec;
-    mutable pending : string;
+    mutable buf : bytes;
     mutable off : int;
+    mutable len : int;
     mutable dead : bool;
   }
 
-  let create codec = { codec; pending = ""; off = 0; dead = false }
+  let create () = { buf = Bytes.create 65536; off = 0; len = 0; dead = false }
 
   let feed d chunk n =
     if not d.dead then begin
-      let keep = String.length d.pending - d.off in
-      let b = Bytes.create (keep + n) in
-      Bytes.blit_string d.pending d.off b 0 keep;
-      Bytes.blit chunk 0 b keep n;
-      d.pending <- Bytes.unsafe_to_string b;
-      d.off <- 0
+      if d.len + n > Bytes.length d.buf then begin
+        let keep = d.len - d.off in
+        let dst =
+          if keep + n <= Bytes.length d.buf then d.buf
+          else Bytes.create (max (keep + n) (2 * Bytes.length d.buf))
+        in
+        Bytes.blit d.buf d.off dst 0 keep;
+        d.buf <- dst;
+        d.off <- 0;
+        d.len <- keep
+      end;
+      Bytes.blit chunk 0 d.buf d.len n;
+      d.len <- d.len + n
     end
 
   let next d =
-    let avail = String.length d.pending - d.off in
+    let avail = d.len - d.off in
     if d.dead || avail < 4 then `Await
     else
-      let n = Int32.to_int (String.get_int32_be d.pending d.off) land 0xffff_ffff in
+      let n = Int32.to_int (Bytes.get_int32_be d.buf d.off) land 0xffff_ffff in
       if n > max_body then begin
         (* A garbage length prefix leaves nothing to resynchronise on. *)
         d.dead <- true;
-        `Reject (Printf.sprintf "%s length implausible (%d bytes)" d.codec.label n)
+        `Reject (Printf.sprintf "frame length implausible (%d bytes)" n)
       end
       else if avail < 4 + n then `Await
       else begin
-        let body = String.sub d.pending (d.off + 4) n in
+        let body = Bytes.sub_string d.buf (d.off + 4) n in
         d.off <- d.off + 4 + n;
-        match decode_body d.codec body with
+        match decode_body body with
         | Ok f -> `Frame f
         | Error e -> `Reject e
       end
 
   let finish d =
-    let avail = String.length d.pending - d.off in
+    let avail = d.len - d.off in
     if d.dead || avail = 0 then None
     else
       Some
-        (Printf.sprintf "truncated %s (%s)" d.codec.label
+        (Printf.sprintf "truncated frame (%s)"
            (if avail < 4 then "incomplete length prefix"
             else "body shorter than declared length"))
 end
@@ -139,8 +151,7 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* One round: fork the fleet, deal [tasks], supervise until every
    worker has been reaped. Returns the failed and lost tasks. *)
-let round ~next_id ~on_spawn ~on_reject ~on_exit ~workers codec ~work ~on_message
-    tasks =
+let round ~next_id ~on_spawn ~on_reject ~on_exit ~workers ~work ~on_message tasks =
   let queue = Queue.of_seq (List.to_seq tasks) in
   let failed = ref [] in
   let stop w =
@@ -181,7 +192,7 @@ let round ~next_id ~on_spawn ~on_reject ~on_exit ~workers codec ~work ~on_messag
              Option.iter close_quietly w.tasks)
            fleet;
          let send m =
-           let s = encode codec m in
+           let s = encode m in
            write_all rw (Bytes.unsafe_of_string s) 0 (String.length s)
          in
          let rec loop () =
@@ -198,7 +209,7 @@ let round ~next_id ~on_spawn ~on_reject ~on_exit ~workers codec ~work ~on_messag
       Unix.close rw;
       Unix.close tr;
       let w =
-        { id; pid; results = rr; tasks = Some tw; dec = Decoder.create codec; current = None }
+        { id; pid; results = rr; tasks = Some tw; dec = Decoder.create (); current = None }
       in
       on_spawn ~worker:id ~pid;
       deal w;
@@ -286,13 +297,11 @@ let ignore_retry ~task:_ ~attempt:_ _ = ()
 
 let run ?(retries = 2) ?(on_spawn = fun ~worker:_ ~pid:_ -> ())
     ?(on_reject = fun ~worker:_ _ -> ()) ?(on_exit = fun ~worker:_ ~status:_ ~lost:_ -> ())
-    ?(on_retry = ignore_retry) ~workers codec ~work ~on_message tasks =
+    ?(on_retry = ignore_retry) ~workers ~work ~on_message tasks =
   let next_id = ref 0 in
   rounds ~retries ~on_retry
-    (round ~next_id ~on_spawn ~on_reject ~on_exit ~workers codec ~work ~on_message)
+    (round ~next_id ~on_spawn ~on_reject ~on_exit ~workers ~work ~on_message)
     tasks
-
-let map_codec = { magic = "pfwork"; version = 1; label = "work frame" }
 
 let map ?(workers = 1) ?(retries = 2) ?(on_retry = ignore_retry) f items =
   let input = Array.of_list items in
@@ -314,7 +323,7 @@ let map ?(workers = 1) ?(retries = 2) ?(on_retry = ignore_retry) f items =
              | `Done -> None))
         tasks
     else
-      run ~retries ~on_retry ~workers map_codec
+      run ~retries ~on_retry ~workers
         ~work:(fun i send -> send (attempt i))
         ~on_message:(fun ~worker:_ ~task r -> settle task r)
         tasks

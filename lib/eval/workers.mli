@@ -13,38 +13,34 @@
 (** {1 Frames}
 
     On the wire a frame is a 4-byte big-endian body length, then the
-    body [magic | version byte | MD5 of payload | payload] with a
-    marshalled payload — the checkpoint envelope of
-    {!Pdf_core.Pfuzzer.Checkpoint}. Each channel has its own magic, so
-    a frame of one kind is never mistaken for another. *)
+    body [magic "pfsync" | version byte | MD5 of payload | payload] with
+    a marshalled payload — the checkpoint envelope of
+    {!Pdf_core.Pfuzzer.Checkpoint} under its own magic, so a frame is
+    never mistaken for an on-disk checkpoint. Every fleet uses this one
+    envelope; the reader fixes the payload type, as with [Marshal]. *)
 
-type codec = {
-  magic : string;
-  version : int;
-  label : string;  (** names the frame kind in rejection reasons *)
-}
-
-val encode_body : codec -> 'a -> string
+val encode_body : 'a -> string
 (** The body alone (no length prefix). *)
 
-val encode : codec -> 'a -> string
+val encode : 'a -> string
 (** Length prefix plus body, ready to write to a pipe. *)
 
-val decode_body : codec -> string -> ('a, string) result
+val decode_body : string -> ('a, string) result
 (** [Error] carries a one-line reason. Precedence matches
     {!Pdf_core.Pfuzzer.Checkpoint.decode}: too short, bad magic, payload
     digest mismatch, version mismatch, unreadable payload — digest
-    before version, so corruption is never misreported as skew. The
-    caller fixes the payload type, as with [Marshal]. *)
+    before version, so corruption is never misreported as skew. *)
 
 (** Incremental decoder for a byte stream arriving in arbitrary chunks.
     A damaged body is rejected with its reason and skipped; the stream
     resynchronises at the next length prefix. An implausible length
-    prefix kills the stream (there is nothing to resynchronise on). *)
+    prefix kills the stream (there is nothing to resynchronise on).
+    Buffering is amortised linear in the bytes fed, whatever the frame
+    size. *)
 module Decoder : sig
   type 'a t
 
-  val create : codec -> 'a t
+  val create : unit -> 'a t
 
   val feed : 'a t -> bytes -> int -> unit
   (** [feed d chunk n] appends the first [n] bytes of [chunk]. *)
@@ -71,18 +67,16 @@ val run :
   ?on_exit:(worker:int -> status:string -> lost:int option -> unit) ->
   ?on_retry:(task:int -> attempt:int -> string -> unit) ->
   workers:int ->
-  codec ->
   work:(int -> ('m -> unit) -> unit) ->
   on_message:(worker:int -> task:int -> 'm -> verdict) ->
   int list ->
   (int * string) list
-(** [run ~workers codec ~work ~on_message tasks] forks [workers] (at
-    least one, at most one per task) and deals them [tasks] in list
-    order. In a worker, [work task send] runs the
-    task, framing each message it [send]s with [codec]; if it raises,
-    the worker exits with status 3. In the coordinator,
-    [on_message ~worker ~task m] sees every message in arrival order
-    and classifies it.
+(** [run ~workers ~work ~on_message tasks] forks [workers] (at least
+    one, at most one per task) and deals them [tasks] in list order. In
+    a worker, [work task send] runs the task, framing each message it
+    [send]s; if it raises, the worker exits with status 3. In the
+    coordinator, [on_message ~worker ~task m] sees every message in
+    arrival order and classifies it.
 
     A task is lost when its worker ends before settling it ([`Done] or
     [`Failed]). A worker that sent a damaged frame ([on_reject] gets the

@@ -223,7 +223,7 @@ let test_decoder_interleaved_partials () =
     ]
   in
   let wire = String.concat "" (List.map Frame.encode frames) in
-  let d = Decoder.create Frame.codec in
+  let d = Decoder.create () in
   feed_chunked d 7 wire;
   let got = drain d in
   Alcotest.(check int) "three frames decoded" 3 (List.length got);
@@ -247,7 +247,7 @@ let test_decoder_damaged_frame_resync () =
     corrupt_byte whole (String.length whole - 2)
   in
   let g2 = Frame.encode (sample_frame ~shard:2 ~seq:3 ()) in
-  let d = Decoder.create Frame.codec in
+  let d = Decoder.create () in
   feed_chunked d 5 (g1 ^ bad ^ g2);
   (match drain d with
    | [ `Frame f1; `Reject reason; `Frame f2 ] ->
@@ -262,7 +262,7 @@ let test_decoder_damaged_frame_resync () =
 let test_decoder_truncation () =
   let wire = Frame.encode (sample_frame ()) in
   (* Cut inside the length prefix. *)
-  let d = Decoder.create Frame.codec in
+  let d = Decoder.create () in
   feed_string d (String.sub wire 0 2);
   Alcotest.(check bool) "awaiting" true (drain d = []);
   (match Decoder.finish d with
@@ -271,7 +271,7 @@ let test_decoder_truncation () =
        (String.length reason > 0 && not (String.contains reason '\n'))
    | None -> Alcotest.fail "truncated length prefix went unreported");
   (* Cut inside the body. *)
-  let d = Decoder.create Frame.codec in
+  let d = Decoder.create () in
   feed_string d (String.sub wire 0 (String.length wire - 3));
   Alcotest.(check bool) "awaiting body" true (drain d = []);
   (match Decoder.finish d with
@@ -279,7 +279,7 @@ let test_decoder_truncation () =
    | None -> Alcotest.fail "truncated body went unreported")
 
 let test_decoder_implausible_length () =
-  let d = Decoder.create Frame.codec in
+  let d = Decoder.create () in
   feed_string d "\xff\xff\xff\xff garbage follows";
   (match drain d with
    | [ `Reject reason ] ->
@@ -291,6 +291,34 @@ let test_decoder_implausible_length () =
   Alcotest.(check bool) "dead stream stays quiet" true (drain d = []);
   Alcotest.(check (option string)) "dead stream EOF is clean" None
     (Decoder.finish d)
+
+let test_decoder_large_frames () =
+  (* A frame far larger than the decoder's initial buffer, then a run of
+     medium ones, fed in pipe-sized chunks that never align with a frame
+     boundary: the buffer must grow and compact without losing or
+     reordering a byte. *)
+  let payloads =
+    String.init 3_000_000 (fun i -> Char.chr (i mod 251))
+    :: "small"
+    :: List.init 30 (fun k -> String.make (70_000 + k) (Char.chr (65 + k)))
+  in
+  let wire = String.concat "" (List.map Pdf_eval.Workers.encode payloads) in
+  let d : string Decoder.t = Decoder.create () in
+  (* Drain after every chunk, as the coordinator does, so compaction
+     moves bytes that sit behind already-consumed frames. *)
+  let chunk = 65_521 in
+  let rec go i acc =
+    if i >= String.length wire then List.concat (List.rev acc)
+    else begin
+      let len = min chunk (String.length wire - i) in
+      feed_string d (String.sub wire i len);
+      go (i + len) (drain d :: acc)
+    end
+  in
+  let got = go 0 [] in
+  Alcotest.(check bool) "every payload intact, in order" true
+    (got = List.map (fun p -> `Frame p) payloads);
+  Alcotest.(check (option string)) "clean EOF" None (Decoder.finish d)
 
 (* {1 Model-based replay}
 
@@ -532,6 +560,8 @@ let () =
           Alcotest.test_case "truncation at EOF" `Quick test_decoder_truncation;
           Alcotest.test_case "implausible length kills the stream" `Quick
             test_decoder_implausible_length;
+          Alcotest.test_case "large frames in pipe-sized chunks" `Quick
+            test_decoder_large_frames;
         ] );
       ( "model-replay",
         [
