@@ -204,12 +204,11 @@ module Checkpoint = struct
           | exception _ ->
             Error "checkpoint payload unreadable (truncated or incompatible)"
 
-  (* The campaign-so-far as a result record — what a sync frame in a
-     distributed campaign carries. Cache accounting and wall-clock are
-     zero (a checkpoint deliberately excludes them), and [engine] is the
-     *requested* tier: a checkpoint cannot know whether the request
-     degraded, only the final per-shard result can, and final frames
-     supersede progress frames in the merge. *)
+  (* The campaign-so-far as a result record. Cache accounting and
+     wall-clock are zero (a checkpoint deliberately excludes them), and
+     [engine] is the *requested* tier: a checkpoint cannot know whether
+     the request degraded. The live campaign's progress results
+     ([result_of] below) carry both. *)
   let partial_result t =
     {
       valid_inputs = List.rev t.ck_valid_rev;
@@ -1217,7 +1216,46 @@ let restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
   st.crash_total <- ck.ck_crash_total;
   (st, ck.ck_current)
 
-let drive st ~first ~checkpoint_every ~on_checkpoint =
+(* The campaign-so-far as a result record. [drive] builds the final
+   result with it; progress hooks call it mid-run with [~wall_ns:0],
+   which scrubs the timing fields. The hit counts are copied because the
+   live table keeps counting after a progress result is handed out. *)
+let result_of st ~wall_ns =
+  let wall_clock_s = float_of_int wall_ns /. 1e9 in
+  {
+    valid_inputs = List.rev st.valid_rev;
+    valid_coverage = st.vbr;
+    hits = Pdf_instr.Hits.copy st.hits;
+    engine = st.engine_label;
+    executions = st.executions;
+    candidates_created = st.candidates_created;
+    queue_peak = st.queue_peak;
+    first_valid_at = st.first_valid_at;
+    dedupe_resets = st.dedupe_resets;
+    path_resets = st.path_resets;
+    cache =
+      (match st.cache with
+       | None -> { no_cache_stats with rescues = st.cache_rescues }
+       | Some cache ->
+         let s = Runner.Cache.stats cache in
+         {
+           hits = s.Runner.Cache.hits;
+           misses = s.misses;
+           evictions = s.evictions;
+           chars_saved = s.chars_saved;
+           rescues = st.cache_rescues;
+         });
+    crashes =
+      List.rev_map (fun key -> Hashtbl.find st.crash_tab key) st.crash_order_rev;
+    crash_total = st.crash_total;
+    hangs = st.hangs;
+    wall_clock_s;
+    execs_per_sec =
+      (if wall_ns <= 0 then 0.0
+       else float_of_int st.executions /. wall_clock_s);
+  }
+
+let drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress =
   let t_start = Pdf_obs.Clock.now_ns () in
   (match st.obs with
    | None -> ()
@@ -1266,18 +1304,26 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
   (try
      let candidate = ref first in
      let last_checkpoint = ref st.executions in
-     (* Drain candidates in batches: checkpoint opportunities (and with
-        them any checkpoint-file I/O) happen only at batch boundaries,
-        so the hot loop between boundaries is pure fuzzing. Results are
-        batch-size-independent — the per-candidate work is identical and
-        strictly sequential; only checkpoint cadence shifts. *)
+     (* Drain candidates in batches: checkpoint and progress
+        opportunities (and with them any checkpoint-file I/O) happen
+        only at batch boundaries, so the hot loop between boundaries is
+        pure fuzzing. Results are batch-size-independent — the
+        per-candidate work is identical and strictly sequential; only
+        the hooks' cadence shifts. Both hooks share one cadence counter,
+        so a run with both sees them fire at the same instants. *)
      let batch = max 1 st.config.batch in
      while true do
-       (match on_checkpoint with
-        | Some save when st.executions - !last_checkpoint >= checkpoint_every ->
-          save (checkpoint_of st !candidate);
-          last_checkpoint := st.executions
-        | _ -> ());
+       (match (on_checkpoint, on_progress) with
+        | None, None -> ()
+        | _ when st.executions - !last_checkpoint < checkpoint_every -> ()
+        | save, progress ->
+          (match save with
+           | Some save -> save (checkpoint_of st !candidate)
+           | None -> ());
+          (match progress with
+           | Some progress -> progress (result_of st ~wall_ns:0)
+           | None -> ());
+          last_checkpoint := st.executions);
        for _ = 1 to batch do
          let c = !candidate in
          (* A queued candidate is [prefix ^ repl] for an already-executed
@@ -1310,51 +1356,18 @@ let drive st ~first ~checkpoint_every ~on_checkpoint =
    | Some o ->
      Obs.finish o ~exec:st.executions ~valid:st.valid_count
        ~cov:(Coverage.cardinal st.vbr));
-  let wall_ns = Pdf_obs.Clock.now_ns () - t_start in
-  let wall_clock_s = float_of_int wall_ns /. 1e9 in
-  {
-    valid_inputs = List.rev st.valid_rev;
-    valid_coverage = st.vbr;
-    hits = st.hits;
-    engine = st.engine_label;
-    executions = st.executions;
-    candidates_created = st.candidates_created;
-    queue_peak = st.queue_peak;
-    first_valid_at = st.first_valid_at;
-    dedupe_resets = st.dedupe_resets;
-    path_resets = st.path_resets;
-    cache =
-      (match st.cache with
-       | None -> { no_cache_stats with rescues = st.cache_rescues }
-       | Some cache ->
-         let s = Runner.Cache.stats cache in
-         {
-           hits = s.Runner.Cache.hits;
-           misses = s.misses;
-           evictions = s.evictions;
-           chars_saved = s.chars_saved;
-           rescues = st.cache_rescues;
-         });
-    crashes =
-      List.rev_map (fun key -> Hashtbl.find st.crash_tab key) st.crash_order_rev;
-    crash_total = st.crash_total;
-    hangs = st.hangs;
-    wall_clock_s;
-    execs_per_sec =
-      (if wall_ns <= 0 then 0.0
-       else float_of_int st.executions /. wall_clock_s);
-  }
+  result_of st ~wall_ns:(Pdf_obs.Clock.now_ns () - t_start)
 
 let fuzz ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs ?faults
-    ?(checkpoint_every = 1000) ?on_checkpoint ?(initial_inputs = []) config
-    subject =
+    ?(checkpoint_every = 1000) ?on_checkpoint ?on_progress
+    ?(initial_inputs = []) config subject =
   let st =
     make_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
       ~rng:(Rng.make config.seed) config subject
   in
   List.iter (fun input -> push_candidate st (Candidate.seed input)) initial_inputs;
   let first = seed_of_char (random_char st) in
-  drive st ~first ~checkpoint_every ~on_checkpoint
+  drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress
 
 let resume_from ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs
     ?faults ?(checkpoint_every = 1000) ?on_checkpoint checkpoint subject =
@@ -1362,4 +1375,4 @@ let resume_from ?(on_valid = fun _ -> ()) ?on_queue_event ?on_execution ?obs
     restore_state ~on_valid ~on_queue_event ~on_execution ~obs ~faults
       checkpoint subject
   in
-  drive st ~first ~checkpoint_every ~on_checkpoint
+  drive st ~first ~checkpoint_every ~on_checkpoint ~on_progress:None

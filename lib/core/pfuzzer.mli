@@ -148,8 +148,8 @@ module Checkpoint : sig
       checkpoint instant. Cache accounting and wall-clock fields are
       zero (checkpoints deliberately exclude them), and [engine] is the
       {e requested} tier from the config — whether the request degraded
-      is only known to the live campaign. Distributed workers serialize
-      this as their periodic sync frames. *)
+      is only known to the live campaign, whose [on_progress] results
+      (see {!fuzz}) carry both. *)
 
   val encode : t -> string
 
@@ -179,6 +179,7 @@ val fuzz :
   ?faults:Pdf_fault.Fault.plan ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(Checkpoint.t -> unit) ->
+  ?on_progress:(result -> unit) ->
   ?initial_inputs:string list ->
   config ->
   Pdf_subjects.Subject.t ->
@@ -196,11 +197,24 @@ val fuzz :
     nothing. [faults] installs a deterministic chaos plan: planned
     execution indices are degraded (crash, hang, slow-down, cache
     corruption) instead of executed normally, and the campaign must keep
-    going. [on_checkpoint] is called with a fresh {!Checkpoint.t} every
-    [checkpoint_every] (default 1000) executions, at a loop-top instant;
-    what to do with it (typically {!Checkpoint.save}, or serializing
-    {!Checkpoint.partial_result} as a distributed sync frame) is the
-    caller's choice.
+    going.
+
+    Two hooks fire every [checkpoint_every] (default 1000) executions,
+    at the same loop-top instants (they share one cadence counter):
+    - [on_checkpoint] receives a fresh {!Checkpoint.t}, the whole
+      resumable campaign state (queue, dedupe and path tables included);
+      {!Checkpoint.save} it to make the run resumable. Capturing it costs
+      time proportional to the queue and tables.
+    - [on_progress] receives the campaign result so far, built from the
+      live state without capturing a checkpoint — what a distributed
+      worker sends as its sync frames. Its wall-clock fields are zero;
+      its cache counters and [engine] are the live ones. It is a
+      {e prefix} of the campaign: at an instant with [executions = n] it
+      equals the final result of the same config run with
+      [max_executions = n] in every field but cache accounting and wall
+      clock, and it equals {!Checkpoint.partial_result} of the
+      checkpoint taken at the same instant in every field but cache
+      accounting and [engine].
 
     Exception contract: subject exceptions never escape [fuzz] — they
     are contained as [Crash] verdicts by {!Pdf_instr.Runner} and triaged

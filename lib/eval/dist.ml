@@ -212,21 +212,24 @@ let run_shard ?obs ?metrics ?frame_every ?send p subject sh =
   let snap seq =
     Option.map (fun m -> Metrics.snapshot ~origin:sh.shard_id ~clock:seq m) metrics
   in
-  let on_checkpoint =
+  (* Progress frames come from the live campaign state: [on_progress]
+     hands over the result so far, already scrubbed of wall clock, with
+     no checkpoint capture behind it. *)
+  let on_progress =
     Option.map
-      (fun send ck ->
-        let seq = Pfuzzer.Checkpoint.executions ck in
+      (fun send (r : Pfuzzer.result) ->
+        let seq = r.executions in
         send
           {
             Frame.shard = sh.shard_id;
             seq;
             final = false;
-            result = Pfuzzer.Checkpoint.partial_result ck;
+            result = r;
             metrics = snap seq;
           })
       send
   in
-  Pfuzzer.fuzz ?obs ?checkpoint_every:frame_every ?on_checkpoint cfg subject
+  Pfuzzer.fuzz ?obs ?checkpoint_every:frame_every ?on_progress cfg subject
 
 let reference ?shards config subject =
   let p = plan ?shards config in

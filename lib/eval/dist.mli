@@ -5,9 +5,10 @@
     shards — each an independent {!Pdf_core.Pfuzzer} run with its own
     SplitMix64-derived seed and budget slice — and the shards are dealt
     to [N] {!Workers} processes, each to the next free worker. Workers
-    stream sync frames
-    (periodic {!Pdf_core.Pfuzzer.Checkpoint.partial_result} progress
-    plus one final per-shard result) back over pipes; the coordinator
+    stream sync frames back over pipes: periodic progress frames, built
+    by {!Pdf_core.Pfuzzer.fuzz}'s [on_progress] hook from the live
+    campaign state (no checkpoint capture, real cache counters and the
+    resolved engine), plus one final per-shard result. The coordinator
     folds them into a per-shard newest-frame map whose join is
     commutative, associative and idempotent, then merges the final
     per-shard results in shard order.
@@ -173,11 +174,12 @@ val run_campaign :
     frame streams, replay missing shards, merge.
 
     [frame_every] (default 500) is the progress-frame cadence in
-    per-shard executions — frames ride the checkpoint hook, so it is a
-    [checkpoint_every]. [retries] (default 2) bounds how many replay
-    rounds a failing set of shards gets, each in fresh workers; a shard
-    still missing after the last round raises [Failure]. [trace] buffers each shard's telemetry in its
-    worker and returns the streams in {!outcome.shard_traces}. [obs]
+    per-shard executions — it is the shard's [checkpoint_every], and
+    frames ride the [on_progress] hook. [retries] (default 2) bounds
+    how many replay rounds a failing set of shards gets, each in fresh
+    workers; a shard still missing after the last round raises
+    [Failure]. [trace] buffers each shard's telemetry in its worker and
+    returns the streams in {!outcome.shard_traces}. [obs]
     receives the coordinator's lifecycle events ({!Pdf_obs.Event.Shard},
     [Worker_spawn], [Worker_frame], [Worker_exit], plus a [Retry] per
     shard replay). [metrics_file] atomically rewrites a Prometheus text

@@ -524,6 +524,82 @@ let test_checkpoint_cadence_vs_batch () =
     Alcotest.(check bool) "resumed = uninterrupted despite batch skew" true
       (Pdf_check.Invariants.results_equal full resumed)
 
+(* {1 Progress results}
+
+   [on_progress] builds the campaign-so-far from the live state, with no
+   checkpoint capture behind it. Each result must be a true prefix of
+   the campaign: equal to the partial result of the checkpoint taken at
+   the same instant, and equal to the final result of the same config
+   stopped at that execution count. Unlike a checkpoint's partial
+   result it carries the live cache counters and the resolved engine. *)
+
+let test_progress_prefix subject_name () =
+  let subject = Catalog.find subject_name in
+  let config = { Pfuzzer.default_config with max_executions = 3000 } in
+  let checkpoints = ref [] and progress = ref [] in
+  let final =
+    Pfuzzer.fuzz ~checkpoint_every:500
+      ~on_checkpoint:(fun ck -> checkpoints := ck :: !checkpoints)
+      ~on_progress:(fun r -> progress := r :: !progress)
+      config subject
+  in
+  let checkpoints = List.rev !checkpoints and progress = List.rev !progress in
+  Alcotest.(check int) "both hooks fire at the same instants"
+    (List.length checkpoints) (List.length progress);
+  Alcotest.(check bool) "several instants" true (List.length progress >= 5);
+  let equal = Pdf_check.Invariants.results_equal in
+  let last_hits = ref 0 in
+  List.iter2
+    (fun ck (r : Pfuzzer.result) ->
+      let n = r.executions in
+      let at what = Printf.sprintf "at %d executions: %s" n what in
+      Alcotest.(check int) (at "same instant as the checkpoint")
+        (Pfuzzer.Checkpoint.executions ck) n;
+      Alcotest.(check bool) (at "= checkpoint partial result") true
+        (equal (Pfuzzer.Checkpoint.partial_result ck) r);
+      let stopped = Pfuzzer.fuzz { config with max_executions = n } subject in
+      Alcotest.(check bool) (at "= the campaign stopped there") true
+        (equal stopped r);
+      Alcotest.(check string) (at "resolved engine") final.engine r.engine;
+      Alcotest.(check (float 0.0)) (at "no wall clock") 0.0 r.wall_clock_s;
+      Alcotest.(check bool) (at "live cache counters, monotone") true
+        (r.cache.hits >= !last_hits && r.cache.hits <= final.cache.hits);
+      last_hits := r.cache.hits)
+    checkpoints progress;
+  Alcotest.(check bool) "cache counters are live, not zeroed" true
+    ((final.cache.hits > 0) = (!last_hits > 0))
+
+(* A progress result costs a few list and array copies per frame, not a
+   capture of the queue and tables. Minor words are deterministic per
+   build, so the guard is exact where a timer would be noise: on json,
+   a frame every 500 executions must stay within 2% of the allocation
+   of the same run without frames (a checkpoint at that cadence more
+   than doubles it). *)
+
+let test_progress_allocation () =
+  let subject = Catalog.find "json" in
+  let config = { Pfuzzer.default_config with max_executions = 10_000 } in
+  let words_per_exec run =
+    let w0 = Gc.minor_words () in
+    let r = run () in
+    (Gc.minor_words () -. w0) /. float_of_int r.Pfuzzer.executions
+  in
+  ignore (Pfuzzer.fuzz config subject) (* warm up *);
+  let plain = words_per_exec (fun () -> Pfuzzer.fuzz config subject) in
+  let frames = ref 0 in
+  let progress =
+    words_per_exec (fun () ->
+        Pfuzzer.fuzz ~checkpoint_every:500
+          ~on_progress:(fun _ -> incr frames)
+          config subject)
+  in
+  Alcotest.(check bool) "a progress result every 500 executions" true
+    (!frames >= 19);
+  if progress > plain *. 1.02 then
+    Alcotest.failf
+      "progress cadence: %.1f minor words/exec vs %.1f without (budget +2%%)"
+      progress plain
+
 (* {1 Generational resets preserve determinism}
 
    [seen_inputs] and [path_counts] reset wholesale at 4 x queue_bound.
@@ -676,6 +752,15 @@ let () =
             test_crash_mid_batch;
           Alcotest.test_case "grid deterministic under compiled default" `Quick
             test_grid_determinism_with_engines;
+        ] );
+      ( "progress",
+        [
+          Alcotest.test_case "json progress is a campaign prefix" `Quick
+            (test_progress_prefix "json");
+          Alcotest.test_case "tinyc progress is a campaign prefix" `Quick
+            (test_progress_prefix "tinyc");
+          Alcotest.test_case "progress cadence allocation guard" `Quick
+            test_progress_allocation;
         ] );
       ( "resilience",
         [

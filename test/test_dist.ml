@@ -323,7 +323,8 @@ let test_decoder_large_frames () =
 (* {1 Model-based replay}
 
    Record the frame streams a 2-worker campaign would produce (each
-   worker's shards run in-process, frames captured instead of piped),
+   worker's shards run in-process through the [on_progress] hook the
+   workers use, frames captured instead of piped),
    interleave them in several adversarial delivery orders, and demand
    that every fold reaches the same state and that the merged result
    equals the sequential reference. *)
@@ -334,13 +335,13 @@ let record_shard_frames p subject (sh : Dist.shard) =
   let cfg = Dist.shard_config p sh in
   let result =
     Pfuzzer.fuzz ~checkpoint_every:20
-      ~on_checkpoint:(fun ck ->
+      ~on_progress:(fun r ->
         send
           {
             Frame.shard = sh.Dist.shard_id;
-            seq = Pfuzzer.Checkpoint.executions ck;
+            seq = r.Pfuzzer.executions;
             final = false;
-            result = Pfuzzer.Checkpoint.partial_result ck;
+            result = r;
             metrics = None;
           })
       cfg subject
